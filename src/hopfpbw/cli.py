@@ -103,7 +103,7 @@ def parse_presentation(path, field_override=None):
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise InputError(f"{path}: generator {i + 1} needs 'name' and 'degree'")
-        if not isinstance(g["degree"], int) or g["degree"] < 1:
+        if not _is_positive_int(g["degree"]):
             raise InputError(f"{path}: generator {g.get('name')!r}: degree must be positive")
         pairs.append((g["name"], g["degree"]))
     try:
@@ -137,7 +137,7 @@ def parse_presentation(path, field_override=None):
             raise InputError(f"{path}: comultiplication of {name!r}: {exc}") from None
 
     bound = raw.get("degree_bound")
-    if bound is not None and (not isinstance(bound, int) or bound < 1):
+    if bound is not None and not _is_positive_int(bound):
         raise InputError(f"{path}: degree_bound must be a positive integer")
 
     canonical = {
@@ -149,6 +149,11 @@ def parse_presentation(path, field_override=None):
     digest = hashlib.sha256(
         json.dumps(canonical, sort_keys=True).encode("utf-8")).hexdigest()[:16]
     return alphabet, field, relations, images, digest, bound
+
+
+def _is_positive_int(value) -> bool:
+    # JSON true and false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _presentation_from_args(args):
@@ -314,7 +319,7 @@ def _cmd_hopf_check(args):
     law = check_coassoc_counit(comul, gb, pres.bound)
     for check in (tri, stab, law):
         _add_verdict(report, check)
-    if stab.ok and law.ok:
+    if tri.ok and stab.ok and law.ok:
         antipode = Antipode(comul, gb, precheck=False)
         _add_verdict(report, antipode.convolution_check(pres.bound))
         report["antipodes"] = [
@@ -323,8 +328,9 @@ def _cmd_hopf_check(args):
             for name in pres.alphabet.names
         ]
     else:
-        _add_verdict(report, CheckReport(
-            "antipode law", False, ["refused: coassociativity, counit or stability failed"]))
+        reason = ("coassociativity, counit or stability failed" if not (stab.ok and law.ok)
+                  else "the comultiplication is not triangular")
+        _add_verdict(report, CheckReport("antipode law", False, [f"refused: {reason}"]))
     return report
 
 
@@ -527,17 +533,18 @@ def run(argv):
         return (2 if exc.code not in (0, None) else 0), None, ""
     try:
         report = _HANDLERS[args.command](args)
-    except (InputError, ExpressionError, WholeAlgebraIdeal) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, None, ""
-    except OutOfCertifiedRange as exc:
+    except (InputError, ExpressionError, WholeAlgebraIdeal, OutOfCertifiedRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None, ""
     text = _render_text(report)
     if getattr(args, "json_path", None):
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json_path}: {exc}", file=sys.stderr)
+            return 2, None, ""
     exit_code = 0 if all(v["pass"] for v in report["verdicts"]) else 1
     return exit_code, report, text
 

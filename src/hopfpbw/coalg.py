@@ -233,6 +233,10 @@ class Antipode:
     """Degree-recursive antipode of a verified quotient bialgebra."""
 
     def __init__(self, comul: Comultiplication, gb: TruncatedGB, precheck: bool = True):
+        # The recursion below needs each image to involve only lower letters.
+        tri = check_triangular(comul, graded=False)
+        if not tri.ok:
+            raise ValueError("antipode refused: " + "; ".join(tri.details[:3]))
         if precheck:
             law = check_coassoc_counit(comul, gb, gb.bound)
             if not law.ok:

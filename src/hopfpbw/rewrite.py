@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .poly import Polynomial, TensorElement, standard_bracket
-from .word import enumerate_lyndon, is_lyndon, words_of_degree
+from .word import is_lyndon, lyndon_words, words_of_degree
 
 
 class OutOfCertifiedRange(ValueError):
@@ -39,6 +39,7 @@ class TruncatedGB:
         self._keys: list = []             # glex keys of leading words, parallel
         self._lw_by_len: dict[int, set] = {}
         self._nf_bracket_cache: dict = {}
+        self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -55,6 +56,7 @@ class TruncatedGB:
         self._keys.insert(pos, key)
         self._lw_by_len.setdefault(len(lw), set()).add(lw)
         self._nf_bracket_cache.clear()
+        self._irreducible_lyndon = None
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
@@ -62,6 +64,7 @@ class TruncatedGB:
         lw = g.leading_word()
         self._lw_by_len[len(lw)].discard(lw)
         self._nf_bracket_cache.clear()
+        self._irreducible_lyndon = None
         return g
 
     # -- word-level reducibility ----------------------------------------------
@@ -264,11 +267,25 @@ def normal_form(f: Polynomial, gb: TruncatedGB) -> Polynomial:
 
 
 def irreducible_lyndon_words(gb: TruncatedGB, max_degree: int) -> list:
-    """All irreducible Lyndon words of degree <= ``max_degree``, glex sorted."""
+    """All irreducible Lyndon words of degree <= ``max_degree``, glex sorted.
+
+    Every prefix of an irreducible Lyndon word is irreducible and can start a
+    Lyndon word, so one search visits only such prefixes: it drops a prefix
+    that ends in a leading word or fails the Duval scan.  The words up to the
+    bound are found once per system and stored on ``gb`` (cleared when the
+    basis changes); a lower ``max_degree`` keeps a prefix of that list.
+    """
     if max_degree > gb.bound:
         raise OutOfCertifiedRange(f"degree {max_degree} exceeds bound {gb.bound}")
-    return [u for u in enumerate_lyndon(gb.alphabet, max_degree)
-            if not gb.is_reducible_word(u)]
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    words = gb._irreducible_lyndon
+    if words is None:
+        words = lyndon_words(gb.alphabet, gb.bound, prune=gb._ends_in_leading_word)
+        words.sort(key=gb.alphabet.glex_key)
+        gb._irreducible_lyndon = words
+    degree = gb.alphabet.degree
+    return [u for u in words if degree(u) <= max_degree]
 
 
 def height(u, gb: TruncatedGB):
@@ -287,32 +304,23 @@ def admissible_words(gb: TruncatedGB, n: int, kind: str = "irreducible") -> list
         return [()]
     alphabet = gb.alphabet
     factors = sorted(irreducible_lyndon_words(gb, n), key=alphabet.lex_key)
+    degrees = [alphabet.degree(u) for u in factors]
+    # B takes any exponent; C stays below the height of each factor.
+    caps = [None] * len(factors)
+    if kind == "C":
+        caps = [None if h is None else h - 1 for h in map(gb.height, factors)]
     out = []
-
-    def extend_b(start, w, remaining):
+    stack = [(0, (), n)]   # next factor, word so far, degree left
+    while stack:
+        start, w, remaining = stack.pop()
         if remaining == 0:
             out.append(w)
-            return
+            continue
         for j in range(start, len(factors)):
-            d = alphabet.degree(factors[j])
-            if d <= remaining:
-                extend_b(j, w + factors[j], remaining - d)
-
-    def extend_c(start, w, remaining):
-        if remaining == 0:
-            out.append(w)
-            return
-        for j in range(start, len(factors)):
-            u = factors[j]
-            d = alphabet.degree(u)
-            if d > remaining:
-                continue
-            h = gb.height(u)
-            top = remaining // d if h is None else min(h - 1, remaining // d)
+            u, d, cap = factors[j], degrees[j], caps[j]
+            top = remaining // d if cap is None else min(cap, remaining // d)
             for e in range(1, top + 1):
-                extend_c(j + 1, w + u * e, remaining - e * d)
-
-    (extend_b if kind == "B" else extend_c)(0, (), n)
+                stack.append((j + 1, w + u * e, remaining - e * d))
     out.sort(key=alphabet.glex_key)
     return out
 

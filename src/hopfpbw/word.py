@@ -106,14 +106,19 @@ def compare_glex(alphabet: Alphabet, u: Word, v: Word) -> int:
 
 
 def is_lyndon(u: Word) -> bool:
-    """True iff ``u`` is nonempty and exceeds every proper nonempty suffix."""
-    if not u:
-        return False
+    """True iff ``u`` is nonempty and exceeds every proper nonempty suffix.
+
+    One Duval scan in the reversed-letter convention, O(len(u)): the word is
+    Lyndon iff the scan reaches its end with period ``len(u)``.
+    """
     n = len(u)
-    for i in range(1, n):
-        if compare_lex(u, u[i:]) != GREATER:
-            return False
-    return True
+    if not n:
+        return False
+    i, j = 0, 1
+    while j < n and u[i] >= u[j]:
+        i = 0 if u[i] > u[j] else i + 1
+        j += 1
+    return j == n and i == 0
 
 
 def shirshov_factorization(u: Word) -> tuple[Word, Word]:
@@ -149,24 +154,44 @@ def lyndon_decomposition(u: Word) -> list[Word]:
 
 
 def enumerate_lyndon(alphabet: Alphabet, max_degree: int) -> list[Word]:
-    """All Lyndon words of degree <= ``max_degree``, sorted by graded lex."""
+    """All Lyndon words of degree <= ``max_degree``, sorted by graded lex.
+
+    A depth-first search over the prefixes that can still start a Lyndon
+    word (see ``lyndon_words``); no other word is built.
+    """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    found = lyndon_words(alphabet, max_degree)
+    found.sort(key=alphabet.glex_key)
+    return found
+
+
+def lyndon_words(alphabet: Alphabet, max_degree: int, prune=None) -> list[Word]:
+    """Lyndon words of degree <= ``max_degree``, unsorted.
+
+    The search carries the Duval scan of each prefix: its period ``p`` (the
+    length of its longest Lyndon prefix, repeated).  A letter larger than the
+    one ``p`` places back ends the scan, so no extension of it is Lyndon and
+    the subtree is dropped; a smaller letter makes the extension Lyndon; an
+    equal one keeps the period.  ``prune`` is an optional predicate on
+    prefixes, as in ``words_of_degree``: the subtree of a prefix it holds for
+    is skipped, so it must hold only where no extension is wanted.
+    """
     degrees = alphabet.degrees
     found = []
-
-    def extend(w, budget):
-        for i in range(alphabet.size):
-            d = degrees[i]
-            if d > budget:
-                continue
-            v = w + (i,)
-            if is_lyndon(v):
-                found.append(v)
-            extend(v, budget - d)
-
-    extend((), max_degree)
-    found.sort(key=alphabet.glex_key)
+    stack = [((), 0, max_degree)]   # prefix, period, degree left
+    while stack:
+        w, p, budget = stack.pop()
+        n = len(w)
+        if n and p == n:
+            found.append(w)
+        top = w[n - p] if n else alphabet.size   # the root takes every letter
+        for c, d in enumerate(degrees[:top + 1]):
+            if d > budget:   # letters are sorted by degree
+                break
+            v = w + (c,)
+            if prune is None or not prune(v):
+                stack.append((v, p if c == top else n + 1, budget - d))
     return found
 
 
@@ -178,20 +203,17 @@ def words_of_degree(alphabet: Alphabet, n: int, prune=None) -> list[Word]:
     """
     degrees = alphabet.degrees
     out = []
-
-    def extend(w, budget):
+    stack = [((), n)]
+    while stack:
+        w, budget = stack.pop()
         if budget == 0:
             out.append(w)
-            return
-        for i in range(alphabet.size):
-            d = degrees[i]
-            if d > budget:
-                continue
+            continue
+        for i, d in enumerate(degrees):
+            if d > budget:   # letters are sorted by degree
+                break
             v = w + (i,)
-            if prune is not None and prune(v):
-                continue
-            extend(v, budget - d)
-
-    extend((), n)
+            if prune is None or not prune(v):
+                stack.append((v, budget - d))
     out.sort(key=alphabet.lex_key)
     return out

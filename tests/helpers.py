@@ -28,6 +28,37 @@ def brute_is_lyndon(u):
     return True
 
 
+def graded_words(degrees, max_degree):
+    """All words over letters of the given degrees with degree <= max_degree."""
+    for w in all_words(len(degrees), max_degree // min(degrees)):
+        if sum(degrees[i] for i in w) <= max_degree:
+            yield w
+
+
+def brute_lyndon_counts(degrees, max_degree):
+    """Number of Lyndon words per degree ``1..max_degree``, by exhaustive
+    rotation tests."""
+    counts = [0] * (max_degree + 1)
+    for w in graded_words(degrees, max_degree):
+        if brute_is_lyndon(w):
+            counts[sum(degrees[i] for i in w)] += 1
+    return counts[1:]
+
+
+def brute_irreducible_lyndon(degrees, leading_words, max_degree):
+    """Lyndon words of degree <= max_degree with no leading word as a factor,
+    sorted by degree, then lex (a proper prefix after its extensions)."""
+    def reducible(w):
+        return any(w[i:i + len(lw)] == lw
+                   for lw in leading_words for i in range(len(w) - len(lw) + 1))
+
+    found = [w for w in graded_words(degrees, max_degree)
+             if brute_is_lyndon(w) and not reducible(w)]
+    pad = len(degrees)
+    found.sort(key=lambda w: (sum(degrees[i] for i in w), *w, pad))
+    return found
+
+
 def brute_factorizations(u, lyndon_words=None):
     """All nondecreasing factorizations of ``u`` into Lyndon words."""
     if lyndon_words is None:

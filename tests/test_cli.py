@@ -231,6 +231,43 @@ def test_hopf_check_nonprimitive_pair():
     assert antipodes["y"] == "-y + x^2"
 
 
+def test_hopf_check_non_triangular_refuses_antipode(capsys):
+    code, report, _text = run(["hopf-check", fixture("bad_delta.json")])
+    assert code == 1
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert not verdicts["triangular (graded triangular)"]["pass"]
+    assert not verdicts["antipode law"]["pass"]
+    assert "not triangular" in verdicts["antipode law"]["detail"]
+    assert "antipodes" not in report
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_json_path_in_missing_directory_is_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, report, _text = run(["verify", fixture("heisenberg.json"), "--json", str(target)])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not target.exists()
+
+
+def test_boolean_degree_and_bound_are_rejected(tmp_path, capsys):
+    raw = json.loads(Path(fixture("heisenberg.json")).read_text())
+    raw["generators"][0]["degree"] = True
+    bool_degree = tmp_path / "bool_degree.json"
+    bool_degree.write_text(json.dumps(raw))
+    code, _rep, _text = run(["verify", str(bool_degree)])
+    assert code == 2
+    assert "degree must be positive" in capsys.readouterr().err
+
+    raw = json.loads(Path(fixture("heisenberg.json")).read_text())
+    raw["degree_bound"] = True
+    bool_bound = tmp_path / "bool_bound.json"
+    bool_bound.write_text(json.dumps(raw))
+    code, _rep, _text = run(["verify", str(bool_bound)])
+    assert code == 2
+    assert "degree_bound must be a positive integer" in capsys.readouterr().err
+
+
 def test_lie_gens_heisenberg_all_lie():
     code, report, _text = run(["lie-gens", fixture("heisenberg.json")])
     assert code == 0

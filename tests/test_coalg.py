@@ -260,6 +260,14 @@ def test_antipode_refused_without_counit():
         antipode_normal_form(comul, gb, parse_polynomial("y", two, QQ))
 
 
+def test_antipode_refused_on_non_triangular_images():
+    two = Alphabet([("x", 1), ("y", 1)])
+    gb = compute_truncated_gb(two, QQ, [parse_polynomial("y*x - x*y", two, QQ)], 4)
+    comul = Comultiplication(two, QQ, {"x": parse_tensor("1#x + x#1 + y#y", two, QQ)})
+    with pytest.raises(ValueError, match="refused"):
+        Antipode(comul, gb, precheck=False)
+
+
 def test_power_comultiplication_letter_standard():
     comul = Comultiplication.standard(AB2, QQ)
     report = check_power_comultiplication(comul, AB2.word("x1"), 2)

@@ -1,7 +1,9 @@
 """Truncated completion, normal forms, irreducible combinatorics, coordinates."""
 
+import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +25,13 @@ from hopfpbw import (
     tensor_bracket_coordinates,
 )
 from hopfpbw.poly import TensorElement
-from hopfpbw.rewrite import OutOfCertifiedRange
+from hopfpbw.cli import parse_presentation
+from hopfpbw.rewrite import OutOfCertifiedRange, TruncatedGB
 from hopfpbw.word import words_of_degree
 
-from helpers import echelon_rank, ideal_dimension_oracle
+from helpers import brute_irreducible_lyndon, echelon_rank, ideal_dimension_oracle
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 HEIS = Alphabet([("x1", 1), ("x2", 1), ("x3", 2)])
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
@@ -331,3 +336,57 @@ def test_leading_words_form_an_antichain():
         for g in gb.elements:
             for w in list(g.coeffs)[1:]:
                 assert not gb.is_reducible_word(w)
+
+
+def _fixture_gb(name, bound):
+    alphabet, field, relations, _images, _digest, _bound = parse_presentation(
+        str(FIXTURES / name))
+    return compute_truncated_gb(alphabet, field, relations, bound)
+
+
+def test_irreducible_lyndon_words_match_brute_force():
+    serre = Alphabet([("e1", 1), ("e2", 1)])
+    serre_rels = [parse_polynomial(s, serre, QQ) for s in (
+        "e1^2*e2 - 2*e1*e2*e1 + e2*e1^2", "e2^2*e1 - 2*e2*e1*e2 + e1*e2^2")]
+    systems = [_fixture_gb("heisenberg.json", 9), _fixture_gb("char3_cube.json", 9),
+               _fixture_gb("char5_fifth.json", 10),
+               compute_truncated_gb(serre, QQ, serre_rels, 10)]
+    for gb in systems:
+        degrees = gb.alphabet.degrees
+        expected = brute_irreducible_lyndon(degrees, gb.leading_words(), gb.bound)
+        assert irreducible_lyndon_words(gb, gb.bound) == expected
+        # lower degrees are read from the stored list
+        for d in range(1, gb.bound):
+            assert irreducible_lyndon_words(gb, d) == [
+                w for w in expected if sum(degrees[i] for i in w) <= d]
+
+
+def test_stored_lyndon_words_follow_basis_changes():
+    gb = TruncatedGB(AB2, QQ, 4)
+    assert irreducible_lyndon_words(gb, 4) == enumerate_lyndon(AB2, 4)
+    gb._insert(parse_polynomial("x2*x1 - x1*x2", AB2, QQ))
+    assert irreducible_lyndon_words(gb, 4) == [AB2.word("x1"), AB2.word("x2")]
+    gb._remove(0)
+    assert irreducible_lyndon_words(gb, 4) == enumerate_lyndon(AB2, 4)
+
+
+def test_enumerators_leave_no_garbage():
+    gb = heis_gb(8)
+    calls = [
+        lambda: words_of_degree(AB2, 8),
+        lambda: enumerate_lyndon(AB2, 8),
+        lambda: irreducible_lyndon_words(gb, 8),
+        lambda: gb.irreducible_words(8),
+        lambda: admissible_words(gb, 8, "B"),
+        lambda: admissible_words(gb, 8, "C"),
+    ]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

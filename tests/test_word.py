@@ -15,7 +15,14 @@ from hopfpbw import (
 )
 from hopfpbw.word import EQUAL, GREATER, LESS
 
-from helpers import all_words, brute_factorizations, brute_is_lyndon, necklace_count
+from helpers import (
+    all_words,
+    brute_factorizations,
+    brute_is_lyndon,
+    brute_lyndon_counts,
+    graded_words,
+    necklace_count,
+)
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
 AB3 = Alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
@@ -79,6 +86,11 @@ def test_is_lyndon_examples():
 
 def test_lyndon_matches_rotation_definition_exhaustive():
     for u in all_words(3, 6):
+        assert is_lyndon(u) == brute_is_lyndon(u)
+
+
+def test_linear_scan_matches_rotation_definition_to_length_8():
+    for u in all_words(3, 8):
         assert is_lyndon(u) == brute_is_lyndon(u)
 
 
@@ -225,6 +237,18 @@ def test_enumerate_counts_match_necklace_formula():
         counts3[len(w)] = counts3.get(len(w), 0) + 1
     for n in range(1, 5):
         assert counts3.get(n, 0) == necklace_count(3, n)
+
+
+def test_enumerate_weighted_alphabet_matches_brute_force():
+    degrees = [1, 1, 2]
+    graded = Alphabet([("a", 1), ("b", 1), ("c", 2)])
+    words = enumerate_lyndon(graded, 9)
+    counts = [0] * 9
+    for w in words:
+        counts[graded.degree(w) - 1] += 1
+    assert counts == brute_lyndon_counts(degrees, 9)
+    assert set(words) == {w for w in graded_words(degrees, 9) if brute_is_lyndon(w)}
+    assert words == sorted(words, key=graded.glex_key)
 
 
 def test_enumerate_respects_degrees():
