@@ -76,10 +76,12 @@ class Comultiplication:
         return cached
 
     def of_poly(self, f: Polynomial) -> TensorElement:
-        out = TensorElement.zero(self.alphabet, self.field)
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        out = {}
         for w, c in f.coeffs.items():
-            out = out + self.of_word(w).scale(c)
-        return out
+            for p, x in self.of_word(w).coeffs.items():
+                out[p] = add(out.get(p, zero), mul(c, x))
+        return TensorElement(self.alphabet, self.field, out)
 
 
 def _primitive_image(alphabet, field, idx) -> TensorElement:
@@ -160,9 +162,7 @@ def _triple_reduce(gb: TruncatedGB, triples: dict) -> dict:
     add, mul, zero = field.add, field.mul, field.zero
     out = {}
     for (a, b, c), coeff in triples.items():
-        fa = gb._reduce(Polynomial.from_word(gb.alphabet, field, a))
-        fb = gb._reduce(Polynomial.from_word(gb.alphabet, field, b))
-        fc = gb._reduce(Polynomial.from_word(gb.alphabet, field, c))
+        fa, fb, fc = gb.nf_word(a), gb.nf_word(b), gb.nf_word(c)
         for u, x in fa.coeffs.items():
             cx = mul(coeff, x)
             for v, y in fb.coeffs.items():
@@ -194,7 +194,7 @@ def check_coassoc_counit(comul: Comultiplication, gb: TruncatedGB, max_degree: i
                     left[b] = add(left.get(b, zero), c)
                 if not b:
                     right[a] = add(right.get(a, zero), c)
-            nf_w = gb._reduce(Polynomial.from_word(alphabet, field, w))
+            nf_w = gb.nf_word(w)
             for side, data in (("eps (x) id", left), ("id (x) eps", right)):
                 got = gb._reduce(Polynomial(alphabet, field, data))
                 if got != nf_w:
@@ -265,25 +265,30 @@ class Antipode:
         return cached
 
     def of(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(f.alphabet, f.field)
+        add, mul, zero = f.field.add, f.field.mul, f.field.zero
+        out = {}
         for w, c in f.coeffs.items():
-            out = out + self._of_word(w).scale(c)
-        return self.gb._reduce(out)
+            for u, x in self._of_word(w).coeffs.items():
+                out[u] = add(out.get(u, zero), mul(c, x))
+        return self.gb._reduce(Polynomial(f.alphabet, f.field, out))
 
     def convolution_check(self, max_degree: int) -> CheckReport:
         """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` on irreducible words."""
         gb, comul = self.gb, self.comul
         alphabet, field = comul.alphabet, comul.field
+        add, mul, zero = field.add, field.mul, field.zero
         details = []
         for n in range(max_degree + 1):
             for w in gb.irreducible_words(n):
                 target = Polynomial.one(alphabet, field) if n == 0 else Polynomial.zero(alphabet, field)
-                dw = comul.of_word(w)
-                left = Polynomial.zero(alphabet, field)
-                right = Polynomial.zero(alphabet, field)
-                for (a, b), c in dw.coeffs.items():
-                    left = left + (self._of_word(a) * Polynomial.from_word(alphabet, field, b)).scale(c)
-                    right = right + (Polynomial.from_word(alphabet, field, a) * self._of_word(b)).scale(c)
+                left, right = {}, {}    # S(a) b and a S(b), summed over Delta(w)
+                for (a, b), c in comul.of_word(w).coeffs.items():
+                    for u, x in self._of_word(a).coeffs.items():
+                        left[u + b] = add(left.get(u + b, zero), mul(c, x))
+                    for u, x in self._of_word(b).coeffs.items():
+                        right[a + u] = add(right.get(a + u, zero), mul(c, x))
+                left = Polynomial(alphabet, field, left)
+                right = Polynomial(alphabet, field, right)
                 if gb._reduce(left) != target or gb._reduce(right) != target:
                     details.append(f"antipode law fails on {render_word(alphabet, w)}")
         return CheckReport(name="antipode law", ok=not details, details=details)

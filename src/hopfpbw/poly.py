@@ -1,10 +1,14 @@
 """Exact arithmetic in the free algebra and its tensor square.
 
 Polynomials are finitely supported scalar mappings on words, tensor elements
-the same on pairs of words.  Support iteration order is canonical: graded-lex
-descending, so the leading word is the first key.  The standard bracketing is
-computed once per word with integer coefficients and cached on the alphabet;
-scalars are materialized per field on demand.
+the same on pairs of words.  Scalars are those of the field (see
+``fields``): over Q an ``int`` when integral and a ``Fraction`` otherwise,
+over F_p a residue; a zero scalar is never stored.  Support iteration order
+is canonical: graded-lex descending, so the leading word is the first key;
+the constructor sorts once, and code that already holds a canonical mapping
+passes ``_normalized=True``.  The standard bracketing is computed once per
+word with integer coefficients and cached on the alphabet; scalars are
+materialized per field on demand.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ class Polynomial:
         self.alphabet = alphabet
         self.field = field
         if not _normalized:
-            key = alphabet.glex_key
-            coeffs = {w: c for w, c in sorted(coeffs.items(), key=lambda t: key(t[0]), reverse=True) if c != field.zero}
+            support = sorted([w for w, c in coeffs.items() if c], key=alphabet.glex_key, reverse=True)
+            coeffs = {w: coeffs[w] for w in support}
         self.coeffs = coeffs
 
     # -- constructors ------------------------------------------------------
@@ -158,11 +162,9 @@ class TensorElement:
         self.field = field
         if not _normalized:
             key = alphabet.glex_key
-            coeffs = {
-                p: c
-                for p, c in sorted(coeffs.items(), key=lambda t: (key(t[0][0]), key(t[0][1])), reverse=True)
-                if c != field.zero
-            }
+            support = sorted([p for p, c in coeffs.items() if c],
+                             key=lambda p: (key(p[0]), key(p[1])), reverse=True)
+            coeffs = {p: coeffs[p] for p in support}
         self.coeffs = coeffs
 
     @classmethod
@@ -254,13 +256,13 @@ class TensorElement:
         return TensorElement(self.alphabet, self.field, out)
 
     def map_legs(self, fleft, fright):
-        """Apply linear maps (given on polynomials) to the two legs."""
+        """Apply linear maps to the two legs; ``fleft`` and ``fright`` give
+        the image of a word as a polynomial."""
         alphabet, field = self.alphabet, self.field
         add, mul, zero = field.add, field.mul, field.zero
         out = {}
         for (a, b), c in self.coeffs.items():
-            la = fleft(Polynomial.from_word(alphabet, field, a))
-            rb = fright(Polynomial.from_word(alphabet, field, b))
+            la, rb = fleft(a), fright(b)
             for u, x in la.coeffs.items():
                 cx = mul(c, x)
                 for v, y in rb.coeffs.items():

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .poly import Polynomial, TensorElement, standard_bracket
-from .word import is_lyndon, lyndon_words, words_of_degree
+from .word import count_words_by_degree, is_lyndon, lyndon_words, words_of_degree
 
 
 class OutOfCertifiedRange(ValueError):
@@ -37,8 +37,9 @@ class TruncatedGB:
         self.bound = bound
         self.elements: list[Polynomial] = []
         self._keys: list = []             # glex keys of leading words, parallel
-        self._lw_by_len: dict[int, set] = {}
+        self._lw_by_len: dict[int, dict] = {}   # length -> {leading word: element}
         self._nf_bracket_cache: dict = {}
+        self._nf_word_cache: dict = {}
         self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -54,25 +55,31 @@ class TruncatedGB:
             pos += 1
         self.elements.insert(pos, g)
         self._keys.insert(pos, key)
-        self._lw_by_len.setdefault(len(lw), set()).add(lw)
-        self._nf_bracket_cache.clear()
-        self._irreducible_lyndon = None
+        self._lw_by_len.setdefault(len(lw), {})[lw] = g
+        self._basis_changed()
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
         self._keys.pop(idx)
         lw = g.leading_word()
-        self._lw_by_len[len(lw)].discard(lw)
-        self._nf_bracket_cache.clear()
-        self._irreducible_lyndon = None
+        same_length = self._lw_by_len[len(lw)]
+        del same_length[lw]
+        if not same_length:
+            del self._lw_by_len[len(lw)]
+        self._basis_changed()
         return g
+
+    def _basis_changed(self):
+        self._nf_bracket_cache.clear()
+        self._nf_word_cache.clear()
+        self._irreducible_lyndon = None
 
     # -- word-level reducibility ----------------------------------------------
 
     def is_reducible_word(self, w) -> bool:
         """True iff some basis leading word occurs as a factor of ``w``."""
         for length, lws in self._lw_by_len.items():
-            if not lws or length > len(w):
+            if length > len(w):
                 continue
             for i in range(len(w) - length + 1):
                 if w[i:i + length] in lws:
@@ -81,50 +88,59 @@ class TruncatedGB:
 
     def _ends_in_leading_word(self, w) -> bool:
         for length, lws in self._lw_by_len.items():
-            if lws and length <= len(w) and w[-length:] in lws:
+            if length <= len(w) and w[-length:] in lws:
                 return True
         return False
 
     def _find_rewrite(self, w):
-        """First (element, position) whose leading word occurs in ``w``."""
-        for g in self.elements:
-            lw = g.leading_word()
-            span = len(w) - len(lw)
-            if span < 0:
-                continue
-            for i in range(span + 1):
-                if w[i:i + len(lw)] == lw:
-                    return g, i
-        return None
+        """The first basis element, in ascending leading-word order, whose
+        leading word occurs in ``w``, with its first position; or None.
+
+        The leading words are distinct, so this is the factor of ``w`` with
+        the smallest glex key among the leading words, found by probing the
+        substrings of ``w`` per leading-word length.
+        """
+        best = None
+        key = self.alphabet.glex_key
+        for length, lws in self._lw_by_len.items():
+            for i in range(len(w) - length + 1):
+                lw = w[i:i + length]
+                if lw in lws:
+                    k = key(lw)
+                    if best is None or k < best_key:   # a repeat keeps its first position
+                        best, best_key, pos = lws[lw], k, i
+        return None if best is None else (best, pos)
 
     # -- reduction -------------------------------------------------------------
 
     def _reduce(self, f: Polynomial) -> Polynomial:
-        alphabet, fld = self.alphabet, self.field
-        add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
-        coeffs = dict(f.coeffs)
-        key = alphabet.glex_key
-        while True:
-            hit = None
-            for w in sorted(coeffs, key=key, reverse=True):
-                found = self._find_rewrite(w)
-                if found is not None:
-                    hit = (w, *found)
-                    break
-            if hit is None:
-                break
-            w, g, i = hit
-            lw = g.leading_word()
-            c = coeffs[w]
-            prefix, suffix = w[:i], w[i + len(lw):]
-            for u, a in g.coeffs.items():
-                v = prefix + u + suffix
-                nv = add(coeffs.get(v, zero), mul(neg(c), a))
-                if nv == zero:
-                    coeffs.pop(v, None)
-                else:
-                    coeffs[v] = nv
-        return Polynomial(alphabet, fld, coeffs)
+        """Normal form of ``f`` by single rewrite steps.
+
+        Each step rewrites the glex-largest reducible support word with
+        ``_find_rewrite`` (see ``_eliminate``); a word without a rewrite is
+        final.
+        """
+        if not self.elements or not f.coeffs:
+            return f
+
+        def rewrite(w):
+            found = self._find_rewrite(w)
+            if found is None:
+                return None
+            g, i = found
+            prefix, suffix = w[:i], w[i + len(g.leading_word()):]
+            return ((prefix + u + suffix, a) for u, a in g.coeffs.items())
+
+        kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, rewrite)
+        return Polynomial(self.alphabet, self.field, kept, _normalized=True)
+
+    def nf_word(self, w) -> Polynomial:
+        """Normal form of the word ``w``, memoized until the basis changes."""
+        got = self._nf_word_cache.get(w)
+        if got is None:
+            got = self._reduce(Polynomial.from_word(self.alphabet, self.field, w))
+            self._nf_word_cache[w] = got
+        return got
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique representative of ``f + I`` on irreducible words."""
@@ -137,7 +153,7 @@ class TruncatedGB:
         if t.degree() > self.bound:
             raise OutOfCertifiedRange(
                 f"degree {t.degree()} exceeds the certified bound {self.bound}")
-        return t.map_legs(self._reduce, self._reduce)
+        return t.map_legs(self.nf_word, self.nf_word)
 
     # -- irreducible-word combinatorics -----------------------------------------
 
@@ -149,9 +165,13 @@ class TruncatedGB:
             return [()]
         return words_of_degree(self.alphabet, n, prune=self._ends_in_leading_word)
 
-    def dimensions(self) -> list[int]:
-        """Quotient dimensions per degree ``0..bound``."""
-        return [len(self.irreducible_words(n)) for n in range(self.bound + 1)]
+    def dimensions(self, max_degree: int | None = None) -> list[int]:
+        """Quotient dimensions per degree ``0..max_degree`` (default: the
+        bound), counted in one search over the irreducible words."""
+        top = self.bound if max_degree is None else max_degree
+        if top > self.bound:
+            raise OutOfCertifiedRange(f"degree {top} exceeds bound {self.bound}")
+        return count_words_by_degree(self.alphabet, top, prune=self._ends_in_leading_word)
 
     def height(self, u):
         """Least ``n`` with ``u**n`` reducible, or None if not observed."""
@@ -167,6 +187,54 @@ class TruncatedGB:
                 return n
             n += 1
         return None
+
+
+def _eliminate(alphabet, field, coeffs: dict, pivot):
+    """Triangular elimination down the graded lex order.
+
+    Walks the support of ``coeffs`` from the glex-largest word down.  For a
+    word ``w`` with coefficient ``c``, ``pivot(w)`` returns None to keep it,
+    or the terms ``(word, scalar)`` of a polynomial whose leading word is
+    ``w`` with coefficient one; ``c`` times that polynomial is subtracted,
+    which cancels ``w`` and changes only smaller words.  Words wait in a
+    max-heap, so a word is final once popped.  Returns ``(kept, pivots)``:
+    the kept words and the coefficients the pivots were taken with, both
+    keyed glex-descending.
+    """
+    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
+    degree = alphabet.degree
+
+    def heap_key(w):
+        # heapq pops the smallest entry.  Within one degree glex is tuple
+        # order (no word is a prefix of another of the same degree), so
+        # negating the degree and every letter pops the glex-largest first.
+        return (-degree(w), [-x for x in w], w)
+
+    coeffs = dict(coeffs)
+    heap = [heap_key(w) for w in coeffs]
+    heapq.heapify(heap)
+    kept, pivots = {}, {}
+    while heap:
+        w = heapq.heappop(heap)[-1]
+        c = coeffs.get(w)
+        if c is None:
+            continue     # cancelled by an earlier pivot
+        terms = pivot(w)
+        if terms is None:
+            kept[w] = c
+            continue
+        pivots[w] = c
+        nc = neg(c)
+        for v, a in terms:
+            old = coeffs.get(v)
+            nv = mul(nc, a) if old is None else add(old, mul(nc, a))
+            if nv == zero:
+                del coeffs[v]
+            else:
+                if old is None:
+                    heapq.heappush(heap, heap_key(v))
+                coeffs[v] = nv
+    return kept, pivots
 
 
 def _validate_relation(alphabet, rel: Polynomial, bound: int, label: str):
@@ -341,12 +409,8 @@ def bracket_coordinates(f: Polynomial, gb: TruncatedGB) -> dict:
     back-substitution (``[w]`` has leading word ``w``).
     """
     g = gb.normal_form(f)
-    coords = {}
-    while not g.is_zero():
-        w = g.leading_word()
-        c = g.coeffs[w]
-        coords[w] = c
-        g = g - _nf_bracket(gb, w).scale(c)
+    _, coords = _eliminate(gb.alphabet, gb.field, g.coeffs,
+                           lambda w: _nf_bracket(gb, w).coeffs.items())
     return coords
 
 
@@ -397,5 +461,5 @@ def collect_irreducible_data(gb: TruncatedGB, max_degree: int | None = None) -> 
         raise OutOfCertifiedRange(f"degree {bound} exceeds bound {gb.bound}")
     lyndon = irreducible_lyndon_words(gb, bound)
     heights = {u: gb.height(u) for u in lyndon}
-    dims = [len(gb.irreducible_words(n)) for n in range(bound + 1)]
+    dims = gb.dimensions(bound)
     return IrreducibleData(bound=bound, dimensions=dims, lyndon=lyndon, heights=heights)

@@ -44,6 +44,7 @@ class Alphabet:
         self.declaration = tuple((name, deg) for name, deg in generators)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.size = len(self.names)
+        self._degree_of = self.degrees.__getitem__
         self._bracket_cache = {}
         self._coproduct_cache = {}
 
@@ -68,8 +69,7 @@ class Alphabet:
         return tuple(self.letter(n) for n in names)
 
     def degree(self, w: Word) -> int:
-        degrees = self.degrees
-        return sum(degrees[i] for i in w)
+        return sum(map(self._degree_of, w))
 
     def lex_key(self, w: Word):
         """Sort key realizing the reversed-prefix lex order (ascending)."""
@@ -77,8 +77,12 @@ class Alphabet:
         return (*w, self.size)
 
     def glex_key(self, w: Word):
-        """Sort key for the graded lex order (ascending)."""
-        return (self.degree(w), *w, self.size)
+        """Sort key for the graded lex order (ascending).
+
+        No word is a proper prefix of another word of the same degree, so
+        within one degree plain tuple order is the lex order.
+        """
+        return (self.degree(w), w)
 
     def render_word(self, w: Word, sep: str = " ") -> str:
         if not w:
@@ -217,3 +221,25 @@ def words_of_degree(alphabet: Alphabet, n: int, prune=None) -> list[Word]:
                 stack.append((v, budget - d))
     out.sort(key=alphabet.lex_key)
     return out
+
+
+def count_words_by_degree(alphabet: Alphabet, max_degree: int, prune=None) -> list[int]:
+    """Number of words of each degree ``0..max_degree``, in one search.
+
+    Counts exactly the words ``words_of_degree`` returns for each degree:
+    ``prune`` is the same optional predicate on partial words, and the
+    subtree of a word it holds for is neither counted nor visited.
+    """
+    degrees = alphabet.degrees
+    counts = [0] * (max_degree + 1)
+    stack = [((), 0)]   # word, its degree
+    while stack:
+        w, d = stack.pop()
+        counts[d] += 1
+        for i, e in enumerate(degrees):
+            if d + e > max_degree:   # letters are sorted by degree
+                break
+            v = w + (i,)
+            if prune is None or not prune(v):
+                stack.append((v, d + e))
+    return counts

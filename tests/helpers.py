@@ -59,6 +59,60 @@ def brute_irreducible_lyndon(degrees, leading_words, max_degree):
     return found
 
 
+def brute_irreducible_counts(degrees, leading_words, max_degree):
+    """Number of words per degree ``0..max_degree`` with no leading word as a
+    factor, by exhaustive search."""
+    counts = [0] * (max_degree + 1)
+    for w in graded_words(degrees, max_degree):
+        if not any(w[i:i + len(lw)] == lw
+                   for lw in leading_words for i in range(len(w) - len(lw) + 1)):
+            counts[sum(degrees[i] for i in w)] += 1
+    return counts
+
+
+def reference_reduce(degrees, elements, coeffs, p=None):
+    """Normal form by the plain sort-and-scan loop.
+
+    Each step sorts the support, takes the glex-largest word that contains a
+    leading word, and rewrites it with the first element in ascending
+    leading-word order that occurs in it, at its first occurrence.
+    ``elements`` are monic coefficient mappings; scalars are taken as
+    Fractions, or as residues mod ``p``.  Returns the normal form as a dict in
+    glex-descending order.
+    """
+    pad = len(degrees)
+
+    def glex(w):
+        return (sum(degrees[i] for i in w), *w, pad)
+
+    def scalar(c):
+        return int(c) % p if p else Fraction(c)
+
+    rules = sorted(((max(g, key=glex), g) for g in elements), key=lambda t: glex(t[0]))
+    coeffs = {w: scalar(c) for w, c in coeffs.items() if scalar(c)}
+    while True:
+        hit = None
+        for w in sorted(coeffs, key=glex, reverse=True):
+            for lw, g in rules:
+                spots = [i for i in range(len(w) - len(lw) + 1) if w[i:i + len(lw)] == lw]
+                if spots:
+                    hit = (w, lw, g, spots[0])
+                    break
+            if hit:
+                break
+        if hit is None:
+            return {w: coeffs[w] for w in sorted(coeffs, key=glex, reverse=True)}
+        w, lw, g, i = hit
+        c = coeffs[w]
+        for u, a in g.items():
+            v = w[:i] + u + w[i + len(lw):]
+            value = scalar(coeffs.get(v, 0) - c * scalar(a))
+            if value:
+                coeffs[v] = value
+            else:
+                coeffs.pop(v, None)
+
+
 def brute_factorizations(u, lyndon_words=None):
     """All nondecreasing factorizations of ``u`` into Lyndon words."""
     if lyndon_words is None:

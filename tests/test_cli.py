@@ -1,6 +1,7 @@
 """Expression round-trips, file validation, subcommands, exit codes, reports."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -465,3 +466,30 @@ def test_divided_powers_cli():
     code, report, _text = run(["hilbert", fixture("divided_powers.json")])
     assert code == 0
     assert report["hilbert"] == [1, 1, 2, 3, 4, 5, 7, 8, 10]
+
+
+def test_huge_prime_modulus_finishes_quickly():
+    start = time.perf_counter()
+    code, report, _text = run(["hilbert", fixture("heisenberg.json"), "--bound", "4",
+                               "--field", "Fp:1000000000000000003"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["field"] == "Fp:1000000000000000003"
+    assert report["hilbert"] == [1, 2, 4, 6, 9]
+
+
+@pytest.mark.parametrize("modulus", ["561", "1105", "3317044064679887385961981", "1" + "0" * 40])
+def test_composite_or_uncertified_modulus_is_input_error(modulus, capsys):
+    code, report, _text = run(["hilbert", fixture("heisenberg.json"), "--field", f"Fp:{modulus}"])
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("not prime" in err) if len(modulus) < 20 else ("too large" in err)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7, 32003])
+def test_existing_prime_moduli_still_work(prime):
+    code, report, _text = run(["hilbert", fixture("heisenberg.json"), "--bound", "4",
+                               "--field", f"Fp:{prime}"])
+    assert code in (0, 1)
+    assert report["field"] == f"Fp:{prime}"

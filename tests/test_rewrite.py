@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpbw import (
     Alphabet,
@@ -29,7 +30,13 @@ from hopfpbw.cli import parse_presentation
 from hopfpbw.rewrite import OutOfCertifiedRange, TruncatedGB
 from hopfpbw.word import words_of_degree
 
-from helpers import brute_irreducible_lyndon, echelon_rank, ideal_dimension_oracle
+from helpers import (
+    brute_irreducible_counts,
+    brute_irreducible_lyndon,
+    echelon_rank,
+    ideal_dimension_oracle,
+    reference_reduce,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -390,3 +397,164 @@ def test_enumerators_leave_no_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- the rewriting engine against an independent reference ----------------------
+
+
+SERRE_A2 = Alphabet([("e1", 1), ("e2", 1)])
+SERRE_A2_RELATIONS = ("e1^2*e2 - 2*e1*e2*e1 + e2*e1^2", "e2^2*e1 - 2*e2*e1*e2 + e1*e2^2")
+
+CORPUS = sorted(path.name for path in FIXTURES.glob("*.json"))
+
+
+def _reference(gb, f):
+    return reference_reduce(gb.alphabet.degrees, [g.coeffs for g in gb.elements], f.coeffs,
+                            gb.field.char or None)
+
+
+@pytest.fixture
+def checked_reduce(monkeypatch):
+    """Compare every ``_reduce`` call with the reference, against the system
+    of that moment; returns the list of inputs checked."""
+    original = TruncatedGB._reduce
+    seen = []
+
+    def checked(gb, f):
+        got = original(gb, f)
+        assert list(got.coeffs.items()) == list(_reference(gb, f).items())
+        seen.append(f)
+        return got
+
+    monkeypatch.setattr(TruncatedGB, "_reduce", checked)
+    return seen
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_reduce_matches_reference_on_corpus(name, checked_reduce):
+    alphabet, field, relations, _images, _digest, bound = parse_presentation(str(FIXTURES / name))
+    gb = compute_truncated_gb(alphabet, field, relations, min(bound, 6))
+    assert len(checked_reduce) >= len(relations)
+    # the relations and their one-letter multiples, against the final system
+    letters = [Polynomial.from_word(alphabet, field, (x,)) for x in range(alphabet.size)]
+    for rel in relations:
+        for f in [rel] + [x * rel + rel * x for x in letters]:
+            if f.degree() <= gb.bound:
+                assert gb._reduce(f).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("system", [("x2*x1 - x1^2", "x2^2"), ("x2^2 - x1^2",)])
+def test_reduce_keeps_the_rewrite_choice_on_incomplete_systems(field, system):
+    # On a system that is not complete the result depends on the choice: in
+    # the first, x2^2*x1 gives x1^3 by x2*x1 (the smaller leading word) but 0
+    # by x2^2; in the second, x2^3 gives x1^2*x2 at the first occurrence of
+    # x2^2 but x2*x1^2 at the second.
+    gb = TruncatedGB(AB2, field, 5)
+    for src in system:
+        gb._insert(parse_polynomial(src, AB2, field))
+    words = [w for n in range(6) for w in words_of_degree(AB2, n)]
+    rng = random.Random(5)
+    inputs = [{w: 1} for w in words]
+    inputs += [{rng.choice(words): rng.randint(1, 4) for _ in range(3)} for _ in range(100)]
+    for coeffs in inputs:
+        f = Polynomial(AB2, field, {w: field.of_int(c) for w, c in coeffs.items()})
+        assert list(gb._reduce(f).coeffs.items()) == list(_reference(gb, f).items())
+
+
+def test_reduce_matches_reference_during_serre_completion(checked_reduce):
+    for field in (QQ, PrimeField(7)):
+        rels = [parse_polynomial(s, SERRE_A2, field) for s in SERRE_A2_RELATIONS]
+        gb = compute_truncated_gb(SERRE_A2, field, rels, 7)
+        for n in range(5):
+            for w in words_of_degree(SERRE_A2, n):
+                gb.nf_word(w)
+    assert len(checked_reduce) > 50
+
+
+def test_word_normal_forms_follow_basis_changes():
+    gb = TruncatedGB(AB2, QQ, 4)
+    w = AB2.word("x2", "x1")
+    word = Polynomial.from_word(AB2, QQ, w)
+    assert gb.nf_word(w) == word
+    assert w in gb._nf_word_cache
+    gb._insert(parse_polynomial("x2*x1 - x1*x2", AB2, QQ))
+    assert not gb._nf_word_cache
+    assert gb.nf_word(w) == parse_polynomial("x1*x2", AB2, QQ)
+    assert w in gb._nf_word_cache
+    gb._remove(0)
+    assert not gb._nf_word_cache
+    assert gb.nf_word(w) == word
+
+
+def test_word_normal_forms_agree_with_normal_form():
+    gb = heis_gb(6)
+    for n in range(5):
+        for w in words_of_degree(HEIS, n):
+            assert gb.nf_word(w) == gb.normal_form(Polynomial.from_word(HEIS, QQ, w))
+            assert gb.nf_word(w) is gb.nf_word(w)
+
+
+def _serre_gb(bound=8):
+    rels = [parse_polynomial(s, SERRE_A2, QQ) for s in SERRE_A2_RELATIONS]
+    return compute_truncated_gb(SERRE_A2, QQ, rels, bound)
+
+
+@pytest.mark.parametrize("system", ["heisenberg", "char3_cube", "serre_a2"])
+def test_dimensions_match_brute_force_count(system):
+    gb = _serre_gb(9) if system == "serre_a2" else _fixture_gb(f"{system}.json", 9)
+    expected = brute_irreducible_counts(gb.alphabet.degrees, gb.leading_words(), gb.bound)
+    assert gb.dimensions() == expected
+    assert expected == [len(gb.irreducible_words(n)) for n in range(gb.bound + 1)]
+    for top in range(1, gb.bound + 1):
+        assert gb.dimensions(top) == expected[:top + 1]
+        assert collect_irreducible_data(gb, top).dimensions == expected[:top + 1]
+    with pytest.raises(OutOfCertifiedRange):
+        gb.dimensions(gb.bound + 1)
+
+
+def test_counting_walk_and_reduction_leave_no_garbage():
+    gb = _serre_gb(8)
+    f = Polynomial.from_word(SERRE_A2, QQ, SERRE_A2.word("e2", "e2", "e2", "e1", "e1", "e1"))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in (gb.dimensions, lambda: gb.normal_form(f), lambda: bracket_coordinates(f, gb)):
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# -- normal-form laws, property-based -------------------------------------------
+
+
+HEIS_GB = {QQ: heis_gb(6), PrimeField(5): heis_gb(6, PrimeField(5))}
+HEIS_WORDS = [w for n in range(4) for w in words_of_degree(HEIS, n)]
+
+
+def _polynomials(field):
+    if field.char == 0:
+        scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        scalars = st.integers(min_value=0, max_value=field.char - 1)
+    return st.dictionaries(st.sampled_from(HEIS_WORDS), scalars, max_size=4).map(
+        lambda d: Polynomial(HEIS, field, {w: field.of_fraction(c) for w, c in d.items()}))
+
+
+@pytest.mark.parametrize("field", list(HEIS_GB), ids=repr)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_form_laws(field, data):
+    gb = HEIS_GB[field]
+    f = data.draw(_polynomials(field))
+    g = data.draw(_polynomials(field))
+    a = field.of_fraction(data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4)
+                                   if field.char == 0 else st.integers(0, field.char - 1)))
+    nf_f, nf_g = gb.normal_form(f), gb.normal_form(g)
+    assert gb.normal_form(nf_f) == nf_f                                   # idempotent
+    assert all(not gb.is_reducible_word(w) for w in nf_f.coeffs)
+    assert gb.normal_form(f + g.scale(a)) == nf_f + nf_g.scale(a)         # linear
+    assert gb.normal_form(f * g) == gb.normal_form(nf_f * nf_g)           # multiplicative
