@@ -256,13 +256,13 @@ class TensorElement:
         return TensorElement(self.alphabet, self.field, out)
 
     def map_legs(self, fleft, fright):
-        """Apply linear maps to the two legs; ``fleft`` and ``fright`` give
-        the image of a word as a polynomial."""
+        """Apply linear maps (given on polynomials) to the two legs."""
         alphabet, field = self.alphabet, self.field
         add, mul, zero = field.add, field.mul, field.zero
         out = {}
         for (a, b), c in self.coeffs.items():
-            la, rb = fleft(a), fright(b)
+            la = fleft(Polynomial.from_word(alphabet, field, a))
+            rb = fright(Polynomial.from_word(alphabet, field, b))
             for u, x in la.coeffs.items():
                 cx = mul(c, x)
                 for v, y in rb.coeffs.items():

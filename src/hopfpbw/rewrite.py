@@ -39,7 +39,6 @@ class TruncatedGB:
         self._keys: list = []             # glex keys of leading words, parallel
         self._lw_by_len: dict[int, dict] = {}   # length -> {leading word: element}
         self._nf_bracket_cache: dict = {}
-        self._nf_word_cache: dict = {}
         self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -71,20 +70,13 @@ class TruncatedGB:
 
     def _basis_changed(self):
         self._nf_bracket_cache.clear()
-        self._nf_word_cache.clear()
         self._irreducible_lyndon = None
 
     # -- word-level reducibility ----------------------------------------------
 
     def is_reducible_word(self, w) -> bool:
         """True iff some basis leading word occurs as a factor of ``w``."""
-        for length, lws in self._lw_by_len.items():
-            if length > len(w):
-                continue
-            for i in range(len(w) - length + 1):
-                if w[i:i + length] in lws:
-                    return True
-        return False
+        return self._find_rewrite(w) is not None
 
     def _ends_in_leading_word(self, w) -> bool:
         for length, lws in self._lw_by_len.items():
@@ -135,12 +127,8 @@ class TruncatedGB:
         return Polynomial(self.alphabet, self.field, kept, _normalized=True)
 
     def nf_word(self, w) -> Polynomial:
-        """Normal form of the word ``w``, memoized until the basis changes."""
-        got = self._nf_word_cache.get(w)
-        if got is None:
-            got = self._reduce(Polynomial.from_word(self.alphabet, self.field, w))
-            self._nf_word_cache[w] = got
-        return got
+        """Normal form of the word ``w``."""
+        return self._reduce(Polynomial.from_word(self.alphabet, self.field, w))
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique representative of ``f + I`` on irreducible words."""
@@ -153,7 +141,7 @@ class TruncatedGB:
         if t.degree() > self.bound:
             raise OutOfCertifiedRange(
                 f"degree {t.degree()} exceeds the certified bound {self.bound}")
-        return t.map_legs(self.nf_word, self.nf_word)
+        return t.map_legs(self._reduce, self._reduce)
 
     # -- irreducible-word combinatorics -----------------------------------------
 
@@ -165,13 +153,10 @@ class TruncatedGB:
             return [()]
         return words_of_degree(self.alphabet, n, prune=self._ends_in_leading_word)
 
-    def dimensions(self, max_degree: int | None = None) -> list[int]:
-        """Quotient dimensions per degree ``0..max_degree`` (default: the
-        bound), counted in one search over the irreducible words."""
-        top = self.bound if max_degree is None else max_degree
-        if top > self.bound:
-            raise OutOfCertifiedRange(f"degree {top} exceeds bound {self.bound}")
-        return count_words_by_degree(self.alphabet, top, prune=self._ends_in_leading_word)
+    def dimensions(self) -> list[int]:
+        """Quotient dimensions per degree ``0..bound``, counted in one search
+        over the irreducible words."""
+        return count_words_by_degree(self.alphabet, self.bound, prune=self._ends_in_leading_word)
 
     def height(self, u):
         """Least ``n`` with ``u**n`` reducible, or None if not observed."""
@@ -202,16 +187,10 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
     keyed glex-descending.
     """
     add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
-    degree = alphabet.degree
-
-    def heap_key(w):
-        # heapq pops the smallest entry.  Within one degree glex is tuple
-        # order (no word is a prefix of another of the same degree), so
-        # negating the degree and every letter pops the glex-largest first.
-        return (-degree(w), [-x for x in w], w)
+    descending = alphabet.glex_descending_key
 
     coeffs = dict(coeffs)
-    heap = [heap_key(w) for w in coeffs]
+    heap = [(descending(w), w) for w in coeffs]     # heapq pops the smallest
     heapq.heapify(heap)
     kept, pivots = {}, {}
     while heap:
@@ -232,7 +211,7 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
                 del coeffs[v]
             else:
                 if old is None:
-                    heapq.heappush(heap, heap_key(v))
+                    heapq.heappush(heap, (descending(v), v))
                 coeffs[v] = nv
     return kept, pivots
 
@@ -461,5 +440,5 @@ def collect_irreducible_data(gb: TruncatedGB, max_degree: int | None = None) -> 
         raise OutOfCertifiedRange(f"degree {bound} exceeds bound {gb.bound}")
     lyndon = irreducible_lyndon_words(gb, bound)
     heights = {u: gb.height(u) for u in lyndon}
-    dims = gb.dimensions(bound)
+    dims = gb.dimensions()[:bound + 1]
     return IrreducibleData(bound=bound, dimensions=dims, lyndon=lyndon, heights=heights)

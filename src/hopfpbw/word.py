@@ -84,6 +84,15 @@ class Alphabet:
         """
         return (self.degree(w), w)
 
+    def glex_descending_key(self, w: Word):
+        """Sort key for the graded lex order, descending: ascending by this
+        key is descending by ``glex_key``, as a min-heap needs.
+
+        Negating every letter reverses tuple order within one degree because,
+        as for ``glex_key``, no word there is a proper prefix of another.
+        """
+        return (-self.degree(w), [-x for x in w])
+
     def render_word(self, w: Word, sep: str = " ") -> str:
         if not w:
             return "1"

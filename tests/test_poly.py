@@ -161,6 +161,27 @@ def test_standard_comultiplication_examples():
         TensorElement.of(one2, x2) + TensorElement.of(x2, one2))
 
 
+def test_map_legs_applies_polynomial_maps_leg_wise():
+    # Each map receives one word of its leg as a polynomial and returns its
+    # image; the result is extended bilinearly.
+    t = TensorElement.of(P("x1*x2 + 2*x2"), P("x1 - x2^2"))
+    seen = []
+
+    def square(f):
+        seen.append(f)
+        return f * f
+
+    def swap_letters(f):
+        seen.append(f)
+        (w,) = f.coeffs
+        return Polynomial.from_word(AB2, QQ, tuple(1 - x for x in w))
+
+    image = t.map_legs(square, swap_letters)
+    assert image == TensorElement.of(P("x1*x2*x1*x2 + 2*x2^2"), P("x2 - x1^2"))
+    assert seen and all(isinstance(f, Polynomial) and len(f.coeffs) == 1 for f in seen)
+    assert t.map_legs(lambda f: Polynomial.zero(AB2, QQ), swap_letters).is_zero()
+
+
 def test_coproduct_is_algebra_map():
     rng = random.Random(3)
     words = list(all_words(2, 3))
