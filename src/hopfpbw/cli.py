@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 
-from .coalg import Antipode, CheckReport, check_coassoc_counit, check_stability, check_triangular
+from .coalg import Antipode, CheckReport, check_coassoc_counit, check_stability
 from .expressions import (
     ExpressionError,
     parse_polynomial,
@@ -29,7 +29,7 @@ from .expressions import (
 )
 from .fields import PrimeField, QQ
 from .poly import Polynomial
-from .rewrite import OutOfCertifiedRange, WholeAlgebraIdeal, admissible_words
+from .rewrite import OutOfCertifiedRange, RelationError, WholeAlgebraIdeal, admissible_words
 from .structure import (
     Presentation,
     compute_heights,
@@ -80,10 +80,11 @@ def _field_name(field) -> str:
 
 
 def parse_presentation(path, field_override=None):
-    """Load and validate a presentation file.
+    """Load and validate a presentation file; the relations themselves are
+    checked when the ``Presentation`` is built, once the bound is known.
 
-    Returns ``(presentation, digest, bound_from_file)``; the digest is a
-    stable hash of the canonicalized content.
+    Returns ``(alphabet, field, relations, images, digest, bound_from_file)``;
+    the digest is a stable hash of the canonicalized content.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,11 +118,6 @@ def parse_presentation(path, field_override=None):
             rel = parse_polynomial(src, alphabet, field)
         except ExpressionError as exc:
             raise InputError(f"{path}: relation {i + 1}: {exc}") from None
-        if rel.is_zero():
-            raise InputError(f"{path}: relation {i + 1} is zero")
-        if not rel.is_homogeneous():
-            degrees = " and ".join(str(n) for n in rel.homogeneous_components())
-            raise InputError(f"{path}: relation {i + 1} is inhomogeneous: degrees {degrees}")
         relations.append(rel)
 
     images = {}
@@ -165,6 +161,8 @@ def _presentation_from_args(args):
         raise InputError("a degree bound is required (file degree_bound or --bound)")
     try:
         pres = Presentation(alphabet, field, relations, images, bound)
+    except RelationError as exc:
+        raise InputError(f"{args.file}: {exc}") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return pres, digest
@@ -312,10 +310,7 @@ def _cmd_hilbert(args):
 def _cmd_hopf_check(args):
     pres, digest = _presentation_from_args(args)
     report = _new_report("hopf-check", pres.bound, digest, _field_name(pres.field))
-    comul = pres.comultiplication()
-    tri = check_triangular(comul, graded=True)
-    gb = pres.groebner()
-    stab = check_stability(comul, gb)
+    comul, tri, gb, stab = pres.hypotheses()
     law = check_coassoc_counit(comul, gb, pres.bound)
     for check in (tri, stab, law):
         _add_verdict(report, check)
@@ -550,14 +545,12 @@ def run(argv):
 
 
 def main():
-    code, report, text = run(sys.argv[1:])
-    if report is not None and text and not _is_quiet(sys.argv[1:]):
+    argv = sys.argv[1:]
+    code, report, text = run(argv)
+    # A report means argv parsed, so parsing it again cannot fail.
+    if report is not None and not _build_parser().parse_args(argv).quiet:
         sys.stdout.write(text)
     raise SystemExit(code)
-
-
-def _is_quiet(argv) -> bool:
-    return "--quiet" in argv
 
 
 if __name__ == "__main__":

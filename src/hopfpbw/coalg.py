@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .poly import Polynomial, TensorElement, binomial, standard_bracket, standard_comultiplication
 from .rewrite import TruncatedGB, tensor_bracket_coordinates
-from .word import GREATER, LESS, compare_lex, is_lyndon, lyndon_decomposition
+from .word import factors_below, is_lyndon, lyndon_decomposition
 from .expressions import render_polynomial, render_tensor, render_word
 
 
@@ -102,15 +102,6 @@ def free_gb(alphabet, field, bound: int) -> TruncatedGB:
     return TruncatedGB(alphabet, field, max(bound, 1))
 
 
-def _factors_below(w, cut, strict=True) -> bool:
-    """All Lyndon factors of ``w`` lie below the Lyndon word ``cut``."""
-    for factor in lyndon_decomposition(w):
-        cmp = compare_lex(factor, cut)
-        if cmp != LESS and (strict or cmp != 0):
-            return False
-    return True
-
-
 def check_triangular(comul: Comultiplication, graded: bool = True) -> CheckReport:
     """Decide (graded) triangularity of every generator image."""
     alphabet, field = comul.alphabet, comul.field
@@ -136,8 +127,8 @@ def check_triangular(comul: Comultiplication, graded: bool = True) -> CheckRepor
                     details.append(
                         f"{name}: top-degree term with a scalar tensor leg "
                         f"({render_word(alphabet, w)} # {render_word(alphabet, w2)})")
-                elif not (_factors_below(w, cut) and _factors_below(w2, cut)):
-                    bad = w if not _factors_below(w, cut) else w2
+                elif not (factors_below(w, cut) and factors_below(w2, cut)):
+                    bad = w if not factors_below(w, cut) else w2
                     details.append(
                         f"{name}: word {render_word(alphabet, bad)} has a Lyndon factor not below {name}")
     kind = "graded triangular" if graded else "triangular"
@@ -336,13 +327,12 @@ def check_power_comultiplication(comul: Comultiplication, u, n: int) -> CheckRep
             continue  # lower-degree part is unconstrained
         coords = tensor_bracket_coordinates(part, free_gb(alphabet, field, top))
         for (w, w2), _c in coords.items():
-            fac1 = lyndon_decomposition(w)
-            fac2 = lyndon_decomposition(w2)
-            if any(compare_lex(v, u) == GREATER for v in fac1 + fac2):
+            if not (factors_below(w, u, strict=False) and factors_below(w2, u, strict=False)):
                 details.append(
                     f"coordinate word {render_word(alphabet, w)} # {render_word(alphabet, w2)} "
                     f"has a factor above {render_word(alphabet, u)}")
                 continue
+            fac1, fac2 = lyndon_decomposition(w), lyndon_decomposition(w2)
             r = sum(1 for v in fac1 if v == u)
             s = sum(1 for v in fac2 if v == u)
             if len(fac1) == r or len(fac2) == s:

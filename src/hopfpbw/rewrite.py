@@ -26,6 +26,10 @@ class WholeAlgebraIdeal(ValueError):
     """Raised when the relations generate the unit ideal."""
 
 
+class RelationError(ValueError):
+    """Raised for a relation that is zero, inhomogeneous or above the bound."""
+
+
 class TruncatedGB:
     """Interreduced monic rewriting system complete up to ``bound``."""
 
@@ -216,18 +220,20 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
     return kept, pivots
 
 
-def _validate_relation(alphabet, rel: Polynomial, bound: int, label: str):
+def _validate_relation(rel: Polynomial, bound: int, label: str):
+    """Refuse a relation that is zero, inhomogeneous, constant (the whole
+    algebra) or of degree above ``bound``."""
     if rel.is_zero():
-        raise ValueError(f"{label} is zero")
+        raise RelationError(f"{label} is zero")
     parts = rel.homogeneous_components()
     if len(parts) > 1:
-        degrees = ", ".join(str(n) for n in parts)
-        raise ValueError(f"{label} is inhomogeneous: degrees {degrees}")
+        degrees = " and ".join(str(n) for n in parts)
+        raise RelationError(f"{label} is inhomogeneous: degrees {degrees}")
     (deg,) = parts
     if deg == 0:
         raise WholeAlgebraIdeal(f"{label} is a nonzero constant: ideal is the whole algebra")
     if deg > bound:
-        raise ValueError(f"{label} has degree {deg} above the bound {bound}")
+        raise RelationError(f"{label} has degree {deg} above the bound {bound}")
 
 
 def _overlap_positions(l1, l2):
@@ -244,7 +250,7 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
     for i, rel in enumerate(relations):
         if rel.alphabet != alphabet or rel.field != field:
             raise ValueError(f"relation {i + 1} has mismatched alphabet or scalar mode")
-        _validate_relation(alphabet, rel, bound, f"relation {i + 1}")
+        _validate_relation(rel, bound, f"relation {i + 1}")
 
     pending = deque(relations)
     pairs: list = []           # heap of (degree, lex key of overlap word, seq, f, g, k)

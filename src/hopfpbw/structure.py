@@ -14,19 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .coalg import (
-    CheckReport,
-    Comultiplication,
-    check_stability,
-    check_triangular,
-    is_lie_polynomial,
-)
+from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
 from .poly import Polynomial, TensorElement, standard_bracket
 from .rewrite import (
     IrreducibleData,
     OutOfCertifiedRange,
     TruncatedGB,
+    _validate_relation,
     admissible_words,
     bracket_coordinates,
     collect_irreducible_data,
@@ -34,12 +29,13 @@ from .rewrite import (
     irreducible_lyndon_words,
     tensor_bracket_coordinates,
 )
-from .word import GREATER, LESS, compare_lex, enumerate_lyndon, lyndon_decomposition
+from .word import GREATER, compare_lex, enumerate_lyndon, factors_below, is_lyndon, lyndon_decomposition
 
 
 class Presentation:
-    """A graded presentation: alphabet, homogeneous relations, coproduct
-    images (primitive by default), scalar field and degree bound."""
+    """A graded presentation: alphabet, homogeneous relations of degree at
+    most the bound (checked on construction), coproduct images (primitive by
+    default), scalar field and degree bound."""
 
     def __init__(self, alphabet, field, relations, images=None, bound=6):
         if bound < 1:
@@ -50,15 +46,22 @@ class Presentation:
         self.images = dict(images or {})
         self.bound = bound
         for i, rel in enumerate(self.relations):
-            if not rel.is_homogeneous():
-                degrees = ", ".join(str(n) for n in rel.homogeneous_components())
-                raise ValueError(f"relation {i + 1} is inhomogeneous: degrees {degrees}")
+            _validate_relation(rel, bound, f"relation {i + 1}")
 
     def comultiplication(self) -> Comultiplication:
         return Comultiplication(self.alphabet, self.field, self.images, fill_primitive=True)
 
     def groebner(self) -> TruncatedGB:
         return compute_truncated_gb(self.alphabet, self.field, self.relations, self.bound)
+
+    def hypotheses(self):
+        """``(comul, triangular, gb, stability)``: the comultiplication, its
+        graded triangularity, the Groebner basis and the stability of the
+        ideal, each computed once."""
+        comul = self.comultiplication()
+        tri = check_triangular(comul, graded=True)
+        gb = self.groebner()
+        return comul, tri, gb, check_stability(comul, gb)
 
 
 FINITE_AT_BOUND = "candidate finite at bound"
@@ -119,10 +122,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     (over a prime field the exponent-bounded family is counted instead).
     """
     alphabet, field = presentation.alphabet, presentation.field
-    comul = presentation.comultiplication()
-    tri = check_triangular(comul, graded=True)
-    gb = presentation.groebner()
-    stab = check_stability(comul, gb)
+    comul, tri, gb, stab = presentation.hypotheses()
     report = StructureReport(bound=gb.bound, triangular=tri, stability=stab, gb=gb)
     if not (tri.ok and stab.ok):
         return report
@@ -145,7 +145,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
             if not w or not w2:
                 details1.append(
                     f"{render_word(alphabet, u)}: scalar tensor leg in coproduct remainder")
-            elif not (_all_factors_below(w, u) and _all_factors_below(w2, u)):
+            elif not (factors_below(w, u) and factors_below(w2, u)):
                 details1.append(
                     f"{render_word(alphabet, u)}: coordinate {render_word(alphabet, w)} # "
                     f"{render_word(alphabet, w2)} not below it")
@@ -161,7 +161,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
                 continue
             comm = z_table[u] * z_table[v] - z_table[v] * z_table[u]
             for w, _c in bracket_coordinates(comm, gb).items():
-                if not _all_factors_below(w, u):
+                if not factors_below(w, u):
                     details2.append(
                         f"[{render_word(alphabet, u)}, {render_word(alphabet, v)}]: "
                         f"coordinate {render_word(alphabet, w)} not below the larger word")
@@ -171,14 +171,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.condition2 = cond2
 
     # Condition (3): monomial counts match quotient dimensions per degree.
-    kind = "B" if field.char == 0 else "C"
-    details3 = []
-    for n in range(gb.bound + 1):
-        count = len(admissible_words(gb, n, kind))
-        if count != data.dimensions[n]:
-            details3.append(
-                f"degree {n}: {count} ordered monomials vs quotient dimension {data.dimensions[n]}")
-    cond3 = CheckReport("pbw condition (3): basis counts", not details3, details3)
+    cond3 = _basis_counts(gb, data.dimensions, "pbw condition (3): basis counts")
     if field.char != 0:
         cond3.details.append(
             "note: positive characteristic, counted the exponent-bounded family")
@@ -190,8 +183,17 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     return report
 
 
-def _all_factors_below(w, cut) -> bool:
-    return all(compare_lex(f, cut) == LESS for f in lyndon_decomposition(w))
+def _basis_counts(gb: TruncatedGB, dims, name: str) -> CheckReport:
+    """The ordered monomials of each degree (B, or C over a prime field)
+    count the quotient dimensions ``dims``."""
+    kind = "B" if gb.field.char == 0 else "C"
+    details = []
+    for n in range(gb.bound + 1):
+        count = len(admissible_words(gb, n, kind))
+        if count != dims[n]:
+            details.append(
+                f"degree {n}: {count} ordered monomials vs quotient dimension {dims[n]}")
+    return CheckReport(name, not details, details)
 
 
 def hilbert_and_gk(report: StructureReport, max_degree: int | None = None):
@@ -320,9 +322,26 @@ def render_pbw_value(terms, field) -> str:
     return " + ".join(pieces)
 
 
+def _reducible_lyndon_coordinates(gb: TruncatedGB):
+    """Each reducible Lyndon word ``v`` up to the bound, glex ascending, with
+    its bracket ``[v]`` and the bracket coordinates of ``[v] + I``."""
+    alphabet, field = gb.alphabet, gb.field
+    irreducible = set(irreducible_lyndon_words(gb, gb.bound))
+    for v in enumerate_lyndon(alphabet, gb.bound):
+        if v not in irreducible:
+            bv = standard_bracket(alphabet, v, field)
+            yield v, bv, bracket_coordinates(bv, gb)
+
+
 def recover_lie_generators(presentation: Presentation, report: StructureReport | None = None):
-    """For each reducible Lyndon word, the unique ideal element expressing its
-    bracket over the irreducible bracket basis, with a primitivity flag."""
+    """For each reducible Lyndon word ``v``, the unique ideal element
+    ``g = [v] - sum c_w [w]`` expressing its bracket over the irreducible
+    bracket basis, with a primitivity flag.
+
+    The brackets ``[w]`` of all words form a basis of the free algebra whose
+    primitive part is spanned by the brackets of Lyndon words, so ``g`` is a
+    Lie polynomial iff every ``w`` with ``c_w != 0`` is Lyndon.
+    """
     if presentation.field.char != 0:
         raise ValueError("Lie-generator recovery requires characteristic 0")
     comul = presentation.comultiplication()
@@ -333,44 +352,32 @@ def recover_lie_generators(presentation: Presentation, report: StructureReport |
     if not stab.ok:
         raise ValueError("Lie-generator recovery refused: ideal is not a coideal")
     alphabet, field = presentation.alphabet, presentation.field
-    irreducible = set(irreducible_lyndon_words(gb, gb.bound))
     out = []
-    for v in enumerate_lyndon(alphabet, gb.bound):
-        if v in irreducible:
-            continue
-        bv = standard_bracket(alphabet, v, field)
-        g = bv
-        for w, c in bracket_coordinates(bv, gb).items():
+    for v, g, coords in _reducible_lyndon_coordinates(gb):
+        for w, c in coords.items():
             g = g - standard_bracket(alphabet, w, field).scale(c)
-        out.append((v, g, is_lie_polynomial(g)))
+        out.append((v, g, all(map(is_lyndon, coords))))
     return out
 
 
 def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
     """The three quasi-primitivity certificates for the ideal."""
     alphabet, field = presentation.alphabet, presentation.field
-    comul = presentation.comultiplication()
-    tri = check_triangular(comul, graded=True)
-    gb = presentation.groebner()
-    stab = check_stability(comul, gb)
+    _comul, tri, gb, stab = presentation.hypotheses()
     if not (tri.ok and stab.ok):
         failing = tri if not tri.ok else stab
         return [CheckReport("quasi-primitivity hypotheses", False,
                             [f"failing hypothesis: {failing.name}"] + failing.details)]
-    irreducible = irreducible_lyndon_words(gb, gb.bound)
-    irreducible_set = set(irreducible)
 
     details1 = []
-    for v in enumerate_lyndon(alphabet, gb.bound):
-        if v in irreducible_set:
-            continue
-        bv = standard_bracket(alphabet, v, field)
-        for w, _c in bracket_coordinates(bv, gb).items():
-            if alphabet.degree(w) == alphabet.degree(v) and not _all_factors_below(w, v):
+    for v, _bv, coords in _reducible_lyndon_coordinates(gb):
+        for w in coords:
+            if alphabet.degree(w) == alphabet.degree(v) and not factors_below(w, v):
                 details1.append(
                     f"[{render_word(alphabet, v)}]: coordinate {render_word(alphabet, w)} not below it")
     part1 = CheckReport("quasi-primitivity (1): reducible brackets", not details1, details1)
 
+    irreducible = irreducible_lyndon_words(gb, gb.bound)
     details2 = []
     for u in irreducible:
         for v in irreducible:
@@ -385,21 +392,12 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
             for w, _c in bracket_coordinates(comm, gb).items():
                 if alphabet.degree(w) < alphabet.degree(uv):
                     continue
-                if not all(compare_lex(f, uv) != GREATER for f in lyndon_decomposition(w)):
+                if not factors_below(w, uv, strict=False):
                     details2.append(
                         f"[[{render_word(alphabet, u)}],[{render_word(alphabet, v)}]]: "
                         f"coordinate {render_word(alphabet, w)} above the product word")
     part2 = CheckReport("quasi-primitivity (2): irreducible commutators", not details2, details2)
-
-    kind = "B" if field.char == 0 else "C"
-    data = collect_irreducible_data(gb)
-    details3 = []
-    for n in range(gb.bound + 1):
-        count = len(admissible_words(gb, n, kind))
-        if count != data.dimensions[n]:
-            details3.append(
-                f"degree {n}: {count} ordered monomials vs quotient dimension {data.dimensions[n]}")
-    part3 = CheckReport("quasi-primitivity (3): basis counts", not details3, details3)
+    part3 = _basis_counts(gb, gb.dimensions(), "quasi-primitivity (3): basis counts")
     return [part1, part2, part3]
 
 
@@ -408,10 +406,7 @@ def compute_heights(presentation: Presentation):
     characteristic-consistency verdict (no finite heights in characteristic
     zero; powers of p otherwise), evaluated when the hypotheses hold."""
     alphabet, field = presentation.alphabet, presentation.field
-    comul = presentation.comultiplication()
-    tri = check_triangular(comul, graded=True)
-    gb = presentation.groebner()
-    stab = check_stability(comul, gb)
+    _comul, tri, gb, stab = presentation.hypotheses()
     data = collect_irreducible_data(gb)
     details = []
     if tri.ok and stab.ok:

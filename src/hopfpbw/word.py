@@ -166,6 +166,16 @@ def lyndon_decomposition(u: Word) -> list[Word]:
     return out
 
 
+def factors_below(w: Word, cut: Word, strict: bool = True) -> bool:
+    """All Lyndon factors of ``w`` lie below ``cut`` (or equal it, when not
+    ``strict``) in the lex order."""
+    for factor in lyndon_decomposition(w):
+        cmp = compare_lex(factor, cut)
+        if cmp == GREATER or (strict and cmp == EQUAL):
+            return False
+    return True
+
+
 def enumerate_lyndon(alphabet: Alphabet, max_degree: int) -> list[Word]:
     """All Lyndon words of degree <= ``max_degree``, sorted by graded lex.
 

@@ -493,3 +493,42 @@ def test_existing_prime_moduli_still_work(prime):
                                "--field", f"Fp:{prime}"])
     assert code in (0, 1)
     assert report["field"] == f"Fp:{prime}"
+
+
+FILE_COMMANDS = ("verify", "quasi-lie", "gb", "basis", "hilbert", "hopf-check", "ihoe",
+                 "lie-gens", "heights")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_relation_above_bound_is_input_error(command, capsys):
+    # the Heisenberg relation x3*x1 - x1*x3 has degree 3
+    path = fixture("heisenberg.json")
+    code, report, _text = run([command, path, "--bound", "2", "--degree", "1"]
+                              if command == "basis" else [command, path, "--bound", "2"])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        f"error: {path}: relation 2 has degree 3 above the bound 2\n")
+
+
+def test_relation_errors_name_the_file(tmp_path, capsys):
+    for relation, message in (("x*x - x*x", "relation 1 is zero"),
+                              ("x*x - x", "relation 1 is inhomogeneous: degrees 1 and 2")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field": "Q", "generators": [{"name": "x", "degree": 1}],
+                                    "relations": [relation], "degree_bound": 3}))
+        code, _rep, _text = run(["gb", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--quiet", "--qui"])
+def test_main_quiet_flag_suppresses_the_report(flag, monkeypatch, capsys):
+    from hopfpbw.cli import main
+
+    for argv, shown in (([], True), ([flag], False)):
+        monkeypatch.setattr("sys.argv", ["hopfpbw", "gb", fixture("heisenberg.json"), *argv])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("command: gb\n") if shown else out == ""

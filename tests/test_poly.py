@@ -26,7 +26,7 @@ from hopfpbw import (
 from hopfpbw.poly import binomial
 from hopfpbw.word import GREATER, LESS, compare_lex
 
-from helpers import all_words
+from helpers import all_words, graded_words
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
 AB3 = Alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
@@ -114,6 +114,9 @@ def test_bracket_monomial_agrees_with_bracket_everywhere():
     # the recursion factors through the Shirshov split of each factor
     for w in all_words(2, 6):
         assert bracket_monomial(AB2, w) == standard_bracket(AB2, w)
+    mixed = Alphabet([("a", 1), ("b", 2), ("c", 3)])
+    for w in graded_words(mixed.degrees, 7):
+        assert bracket_monomial(mixed, w) == standard_bracket(mixed, w)
 
 
 def test_leading_word_examples():
