@@ -79,9 +79,11 @@ def _field_name(field) -> str:
     return "Q" if field.char == 0 else f"Fp:{field.char}"
 
 
-def parse_presentation(path, field_override=None):
-    """Load and validate a presentation file; the relations themselves are
-    checked when the ``Presentation`` is built, once the bound is known.
+def parse_presentation(path, field_override=None, bound=None):
+    """Load and validate a presentation file.  Relations are parsed under
+    ``bound``, else the file's ``degree_bound``, so a power above it is
+    refused before it is built; the rest of the checks on a relation run
+    when the ``Presentation`` is built.
 
     Returns ``(alphabet, field, relations, images, digest, bound_from_file)``;
     the digest is a stable hash of the canonicalized content.
@@ -112,10 +114,14 @@ def parse_presentation(path, field_override=None):
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
+    file_bound = raw.get("degree_bound")
+    if file_bound is not None and not _is_positive_int(file_bound):
+        raise InputError(f"{path}: degree_bound must be a positive integer")
+
     relations = []
     for i, src in enumerate(raw.get("relations", [])):
         try:
-            rel = parse_polynomial(src, alphabet, field)
+            rel = parse_polynomial(src, alphabet, field, file_bound if bound is None else bound)
         except ExpressionError as exc:
             raise InputError(f"{path}: relation {i + 1}: {exc}") from None
         relations.append(rel)
@@ -132,10 +138,6 @@ def parse_presentation(path, field_override=None):
         except ExpressionError as exc:
             raise InputError(f"{path}: comultiplication of {name!r}: {exc}") from None
 
-    bound = raw.get("degree_bound")
-    if bound is not None and not _is_positive_int(bound):
-        raise InputError(f"{path}: degree_bound must be a positive integer")
-
     canonical = {
         "field": _field_name(field),
         "generators": [{"name": n, "degree": d} for n, d in pairs],
@@ -144,7 +146,7 @@ def parse_presentation(path, field_override=None):
     }
     digest = hashlib.sha256(
         json.dumps(canonical, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-    return alphabet, field, relations, images, digest, bound
+    return alphabet, field, relations, images, digest, file_bound
 
 
 def _is_positive_int(value) -> bool:
@@ -155,7 +157,7 @@ def _is_positive_int(value) -> bool:
 def _presentation_from_args(args):
     override = _parse_field(args.field) if args.field else None
     alphabet, field, relations, images, digest, file_bound = parse_presentation(
-        args.file, field_override=override)
+        args.file, field_override=override, bound=args.bound)
     bound = args.bound if args.bound is not None else file_bound
     if bound is None:
         raise InputError("a degree bound is required (file degree_bound or --bound)")

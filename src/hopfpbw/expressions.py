@@ -71,12 +71,13 @@ def tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, src, alphabet, field, tensor_mode):
+    def __init__(self, src, alphabet, field, tensor_mode, bound=None):
         self.tokens = tokenize(src)
         self.pos = 0
         self.alphabet = alphabet
         self.field = field
         self.tensor_mode = tensor_mode
+        self.bound = bound
 
     def peek(self):
         return self.tokens[self.pos]
@@ -135,6 +136,9 @@ class _Parser:
                 pk, pv = self.peek()[:2]
                 if pk != "int" or pv < 1:
                     self.error("exponent must be a positive integer")
+                degree = pv * self.alphabet.degrees[letter]
+                if self.bound is not None and degree > self.bound:
+                    self.error(f"{value}^{pv} has degree {degree} above the bound {self.bound}")
                 power = self.next()[1]
             return Polynomial.from_word(self.alphabet, self.field, (letter,) * power)
         if kind == "symbol" and value == "(":
@@ -202,15 +206,19 @@ class _Parser:
         return out
 
 
-def parse_expression(src: str, mode: str, alphabet, field):
-    """Parse ``src`` into a Polynomial (mode 'poly') or TensorElement ('tensor')."""
+def parse_expression(src: str, mode: str, alphabet, field, bound=None):
+    """Parse ``src`` into a Polynomial (mode 'poly') or TensorElement ('tensor').
+
+    With a ``bound``, a power whose degree exceeds it is refused before it is
+    built.
+    """
     if mode not in ("poly", "tensor"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _Parser(src, alphabet, field, mode == "tensor").run()
+    return _Parser(src, alphabet, field, mode == "tensor", bound).run()
 
 
-def parse_polynomial(src: str, alphabet, field) -> Polynomial:
-    return parse_expression(src, "poly", alphabet, field)
+def parse_polynomial(src: str, alphabet, field, bound=None) -> Polynomial:
+    return parse_expression(src, "poly", alphabet, field, bound)
 
 
 def parse_tensor(src: str, alphabet, field) -> TensorElement:

@@ -5,11 +5,16 @@ interreduced monic system obtained by resolving all overlap compositions of
 degree <= bound certifies normal forms, irreducible words, dimensions and
 heights up to that bound.  Completion processes compositions by ascending
 total degree, then by graded-lex order of the overlap word, so output is
-deterministic for a fixed input order.
+deterministic for a fixed input order.  An overlap word with a leading word
+strictly inside it (away from both ends) is skipped unreduced: the system is
+complete below its degree, so by Bergman's diamond lemma the composition
+resolves through the pieces it splits into, each disjoint, nested or an
+overlap on a shorter word.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
@@ -40,8 +45,9 @@ class TruncatedGB:
         self.field = field
         self.bound = bound
         self.elements: list[Polynomial] = []
-        self._keys: list = []             # glex keys of leading words, parallel
-        self._lw_by_len: dict[int, dict] = {}   # length -> {leading word: element}
+        self._keys: list = []             # glex keys (degree, word) of leading words, parallel
+        # (degree, length) -> {leading word: element}, keys ascending
+        self._lw_index: dict[tuple, dict] = {}
         self._nf_bracket_cache: dict = {}
         self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
@@ -53,22 +59,23 @@ class TruncatedGB:
     def _insert(self, g: Polynomial):
         lw = g.leading_word()
         key = self.alphabet.glex_key(lw)
-        pos = 0
-        while pos < len(self._keys) and self._keys[pos] < key:
-            pos += 1
+        pos = bisect.bisect_left(self._keys, key)
         self.elements.insert(pos, g)
         self._keys.insert(pos, key)
-        self._lw_by_len.setdefault(len(lw), {})[lw] = g
+        group = (key[0], len(lw))
+        if group not in self._lw_index:   # keep the groups ascending
+            self._lw_index[group] = {}
+            self._lw_index = dict(sorted(self._lw_index.items()))
+        self._lw_index[group][lw] = g
         self._basis_changed()
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
-        self._keys.pop(idx)
-        lw = g.leading_word()
-        same_length = self._lw_by_len[len(lw)]
-        del same_length[lw]
-        if not same_length:
-            del self._lw_by_len[len(lw)]
+        degree, lw = self._keys.pop(idx)
+        group = (degree, len(lw))
+        del self._lw_index[group][lw]
+        if not self._lw_index[group]:
+            del self._lw_index[group]
         self._basis_changed()
         return g
 
@@ -83,8 +90,8 @@ class TruncatedGB:
         return self._find_rewrite(w) is not None
 
     def _ends_in_leading_word(self, w) -> bool:
-        for length, lws in self._lw_by_len.items():
-            if length <= len(w) and w[-length:] in lws:
+        for (_, length), lws in self._lw_index.items():
+            if w[-length:] in lws:   # a word shorter than length is no key
                 return True
         return False
 
@@ -92,20 +99,20 @@ class TruncatedGB:
         """The first basis element, in ascending leading-word order, whose
         leading word occurs in ``w``, with its first position; or None.
 
-        The leading words are distinct, so this is the factor of ``w`` with
-        the smallest glex key among the leading words, found by probing the
-        substrings of ``w`` per leading-word length.
+        The leading words are scanned by ascending degree and the first
+        degree with a factor of ``w`` decides, because graded lex compares
+        degrees first; within one degree it is plain tuple order, so the
+        smallest factor there wins without a ``glex_key``.
         """
         best = None
-        key = self.alphabet.glex_key
-        for length, lws in self._lw_by_len.items():
+        for (degree, length), lws in self._lw_index.items():
+            if best is not None and degree > best[0]:
+                break
             for i in range(len(w) - length + 1):
                 lw = w[i:i + length]
-                if lw in lws:
-                    k = key(lw)
-                    if best is None or k < best_key:   # a repeat keeps its first position
-                        best, best_key, pos = lws[lw], k, i
-        return None if best is None else (best, pos)
+                if lw in lws and (best is None or lw < best[1]):  # repeats keep the first position
+                    best = (degree, lw, lws[lw], i)
+        return None if best is None else best[2:]
 
     # -- reduction -------------------------------------------------------------
 
@@ -259,9 +266,7 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
 
     def push_pairs(h: Polynomial):
         nonlocal counter
-        lh = h.leading_word()
         for g in list(gb.elements):
-            lg = g.leading_word()
             for first, second in ((h, g), (g, h)):
                 l1, l2 = first.leading_word(), second.leading_word()
                 for k in _overlap_positions(l1, l2):
@@ -302,6 +307,8 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
         if pairs:
             _deg, _key, _seq, f, g, k = heapq.heappop(pairs)
             l1, l2 = f.leading_word(), g.leading_word()
+            if gb.is_reducible_word((l1 + l2[k:])[1:-1]):
+                continue   # resolvable through compositions of lower degree
             left_tail = Polynomial.from_word(alphabet, field, l2[k:])
             right_head = Polynomial.from_word(alphabet, field, l1[:len(l1) - k])
             pending.append(f * left_tail - right_head * g)

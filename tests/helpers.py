@@ -113,6 +113,47 @@ def reference_reduce(degrees, elements, coeffs, p=None):
                 coeffs.pop(v, None)
 
 
+def unresolved_compositions(degrees, elements, bound, p=None):
+    """Compositions of a basis that ``reference_reduce`` does not take to zero.
+
+    ``elements`` are monic coefficient mappings.  For each ordered pair of
+    them (an element with itself included) this forms every composition of
+    degree <= ``bound``: at each overlap of the leading words, ``l1 = a s``
+    and ``l2 = s c`` with ``s`` nonempty and proper, the polynomial
+    ``f c - a g``; at each occurrence ``l1 = a l2 c`` of one leading word
+    inside another, ``f - a g c``.  None is skipped.  By the diamond lemma the
+    basis is complete up to ``bound`` exactly when the returned list of
+    ``(l1, l2, f_right, g_left, g_right)`` is empty.
+    """
+    pad = len(degrees)
+
+    def glex(w):
+        return (sum(degrees[i] for i in w), *w, pad)
+
+    leading = [max(g, key=glex) for g in elements]
+    failures = []
+    for f, l1 in zip(elements, leading):
+        for g, l2 in zip(elements, leading):
+            # (f_right, g_left, g_right): the composition f f_right - g_left g g_right
+            shapes = [(l2[k:], l1[:-k], ()) for k in range(1, min(len(l1), len(l2)))
+                      if l1[-k:] == l2[:k]]
+            if f is not g:
+                shapes += [((), l1[:i], l1[i + len(l2):]) for i in range(len(l1) - len(l2) + 1)
+                           if l1[i:i + len(l2)] == l2]
+            for f_right, g_left, g_right in shapes:
+                if sum(degrees[i] for i in l1 + f_right) > bound:
+                    continue
+                composition = {}
+                for u, a in f.items():
+                    composition[u + f_right] = composition.get(u + f_right, 0) + a
+                for u, a in g.items():
+                    v = g_left + u + g_right
+                    composition[v] = composition.get(v, 0) - a
+                if reference_reduce(degrees, elements, composition, p):
+                    failures.append((l1, l2, f_right, g_left, g_right))
+    return failures
+
+
 def brute_factorizations(u, lyndon_words=None):
     """All nondecreasing factorizations of ``u`` into Lyndon words."""
     if lyndon_words is None:
@@ -137,33 +178,38 @@ def brute_factorizations(u, lyndon_words=None):
     return out
 
 
-def echelon_rank(rows):
-    """Rank of a sparse rational matrix; rows are dicts keyed by column."""
+def echelon_rank(rows, p=None):
+    """Rank of a sparse matrix over Q, or over F_p when ``p`` is given; rows
+    are dicts keyed by column."""
+    def scalar(c):
+        return Fraction(c) if p is None else int(c) % p
+
     rows = [dict(r) for r in rows if r]
     pivots = {}
     rank = 0
     for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
+        row = {k: scalar(v) for k, v in row.items() if scalar(v)}
         while row:
             col = min(row)
             if col in pivots:
                 factor = row[col]
                 pivot = pivots[col]
                 for k, v in pivot.items():
-                    row[k] = row.get(k, Fraction(0)) - factor * v
+                    row[k] = scalar(row.get(k, 0) - factor * v)
                 row = {k: v for k, v in row.items() if v}
             else:
-                inv = 1 / row[col]
-                row = {k: v * inv for k, v in row.items()}
+                inv = 1 / row[col] if p is None else pow(row[col], -1, p)
+                row = {k: scalar(v * inv) for k, v in row.items()}
                 pivots[col] = row
                 rank += 1
                 row = {}
     return rank
 
 
-def ideal_dimension_oracle(alphabet, relations, degree):
+def ideal_dimension_oracle(alphabet, relations, degree, p=None):
     """dim of the degree-``degree`` component of the quotient, by dense
-    linear algebra over the input relations (independent of completion)."""
+    linear algebra over the input relations (independent of completion);
+    over Q, or over F_p when ``p`` is given."""
     from hopfpbw.word import words_of_degree
 
     words = {w: i for i, w in enumerate(words_of_degree(alphabet, degree))}
@@ -182,7 +228,7 @@ def ideal_dimension_oracle(alphabet, relations, degree):
                     for w, c in rel.coeffs.items():
                         row[words[a + w + b]] = row.get(words[a + w + b], Fraction(0)) + Fraction(c)
                     rows.append(row)
-    return len(words) - echelon_rank(rows)
+    return len(words) - echelon_rank(rows, p)
 
 
 def weighted_monomial_count(degrees, n):

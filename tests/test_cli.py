@@ -510,6 +510,22 @@ def test_relation_above_bound_is_input_error(command, capsys):
         f"error: {path}: relation 2 has degree 3 above the bound 2\n")
 
 
+@pytest.mark.parametrize("bound_flag", [[], ["--bound", "5"]])
+def test_power_above_bound_is_refused_before_it_is_built(tmp_path, capsys, bound_flag):
+    # building x^99999999 would take minutes and gigabytes
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"field": "Q", "generators": [{"name": "x", "degree": 2}],
+                                "relations": ["x^2 - x^99999999"], "degree_bound": 4}))
+    start = time.perf_counter()
+    code, report, _text = run(["gb", str(path), *bound_flag])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and report is None
+    bound = bound_flag[-1] if bound_flag else "4"
+    assert capsys.readouterr().err == (
+        f"error: {path}: relation 1: line 1, column 9: "
+        f"x^99999999 has degree 199999998 above the bound {bound}\n")
+
+
 def test_relation_errors_name_the_file(tmp_path, capsys):
     for relation, message in (("x*x - x*x", "relation 1 is zero"),
                               ("x*x - x", "relation 1 is inhomogeneous: degrees 1 and 2")):

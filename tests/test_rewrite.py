@@ -36,9 +36,11 @@ from helpers import (
     echelon_rank,
     ideal_dimension_oracle,
     reference_reduce,
+    unresolved_compositions,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
 
 HEIS = Alphabet([("x1", 1), ("x2", 1), ("x3", 2)])
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
@@ -462,6 +464,30 @@ def test_reduce_keeps_the_rewrite_choice_on_incomplete_systems(field, system):
         assert list(gb._reduce(f).coeffs.items()) == list(_reference(gb, f).items())
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("alphabet, system, word, nf", [
+    # by x2*x1 (degree 2) x1^4, by x2^3 (degree 3) 0
+    (AB2, ("x2^3", "x2*x1 - x1^2"), "x2^3*x1", "x1^4"),
+    # by x2^2 0, by x1*x2^2 (degree 3, but a smaller tuple) x1^3
+    (AB2, ("x1*x2^2 - x1^3", "x2^2"), "x1*x2^2", "0"),
+    # both of degree 2: by x2^2 (length 2, the smaller tuple) x1*x2*x1*x2,
+    # by x3 (length 1) x1^3*x2
+    (HEIS, ("x3 - x1*x2", "x2^2 - x1*x2"), "x3*x2^2", "x1*x2*x1*x2"),
+], ids=["lower-degree", "tuple-across-degrees", "tuple-across-lengths"])
+def test_reduce_takes_the_glex_smallest_leading_word(field, alphabet, system, word, nf):
+    gb = TruncatedGB(alphabet, field, 6)
+    for src in system:
+        gb._insert(parse_polynomial(src, alphabet, field))
+    assert gb._reduce(parse_polynomial(word, alphabet, field)) == parse_polynomial(
+        nf, alphabet, field)
+    rng = random.Random(7)
+    words = [w for n in range(7) for w in words_of_degree(alphabet, n)]
+    for _ in range(100):
+        f = Polynomial(alphabet, field, {rng.choice(words): field.of_int(rng.randint(1, 4))
+                                         for _ in range(3)})
+        assert list(gb._reduce(f).coeffs.items()) == list(_reference(gb, f).items())
+
+
 def test_reduce_matches_reference_during_serre_completion(checked_reduce):
     for field in (QQ, PrimeField(7)):
         rels = [parse_polynomial(s, SERRE_A2, field) for s in SERRE_A2_RELATIONS]
@@ -569,3 +595,87 @@ def test_normal_form_laws(field, data):
     assert all(not gb.is_reducible_word(w) for w in nf_f.coeffs)
     assert gb.normal_form(f + g.scale(a)) == nf_f + nf_g.scale(a)         # linear
     assert gb.normal_form(f * g) == gb.normal_form(nf_f * nf_g)           # multiplicative
+
+
+# -- completion: every composition resolves, the interior criterion saves work ---
+
+
+SKLYANIN = Alphabet([("x", 1), ("y", 1), ("z", 1)])
+
+
+def sklyanin_relations(a, b, c, field):
+    """a*y*z + b*z*y + c*x^2 and its two cyclic shifts."""
+    x, y, z = range(3)
+    return [Polynomial(SKLYANIN, field, {(p, q): field.of_int(a), (q, p): field.of_int(b),
+                                         (r, r): field.of_int(c)})
+            for p, q, r in ((y, z, x), (z, x, y), (x, y, z))]
+
+
+def _assert_complete(gb):
+    assert unresolved_compositions(gb.alphabet.degrees, [g.coeffs for g in gb.elements],
+                                   gb.bound, gb.field.char or None) == []
+
+
+@pytest.mark.parametrize("path", [FIXTURES / name for name in CORPUS]
+                         + [PRESENTATIONS / "serre_a2.json", PRESENTATIONS / "serre_b2.json"],
+                         ids=lambda path: path.name)
+def test_completed_basis_resolves_every_composition(path):
+    alphabet, field, relations, _images, _digest, bound = parse_presentation(str(path))
+    _assert_complete(compute_truncated_gb(alphabet, field, relations, min(bound or 7, 7)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_completed_sklyanin_basis_resolves_every_composition(field):
+    for draw in ((7, -3, -8), (2, -4, 3), (-5, 1, 9)):
+        _assert_complete(compute_truncated_gb(SKLYANIN, field, sklyanin_relations(*draw, field), 7))
+
+
+SKLYANIN_LEADING_WORDS = (
+    "zx zy zz yyx yyz yxyy yyyy yxyxx yxyxy yxyxz yxxyxx yxxyxz yxxyyy yxxxyxy yxxxyyy "
+    "yxxyxyx yxxyxyz yxxxxyyy yxxxyxxx yxxxyxxy yxxxyxxz yxxxxxyyy yxxxxyxxx yxxxxyxxz "
+    "yxxxxyxyx yxxxxyxyz").split()
+
+
+def test_interior_criterion_skips_reductions(monkeypatch):
+    # Overlaps with a leading word strictly inside are resolved by
+    # compositions of lower degree; without the criterion this takes 134.
+    original = TruncatedGB._reduce
+    calls = []
+
+    def counted(gb, f):
+        calls.append(f)
+        return original(gb, f)
+
+    monkeypatch.setattr(TruncatedGB, "_reduce", counted)
+    gb = compute_truncated_gb(SKLYANIN, QQ, sklyanin_relations(7, -3, -8, QQ), 9)
+    assert len(calls) == 97
+    assert gb.leading_words() == [SKLYANIN.word(*w) for w in SKLYANIN_LEADING_WORDS]
+    assert gb.dimensions() == [(n + 1) * (n + 2) // 2 for n in range(10)]
+
+
+# -- dimensions against dense linear algebra, property-based ---------------------
+
+
+@st.composite
+def _graded_presentations(draw, field):
+    degrees = [1] + draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2))
+    alphabet = Alphabet([(f"x{i}", d) for i, d in enumerate(degrees)])
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = words_of_degree(alphabet, draw(st.integers(2, 4)))
+        coeffs = draw(st.dictionaries(st.sampled_from(words), st.integers(-3, 3), min_size=1,
+                                      max_size=4))
+        f = Polynomial(alphabet, field, {w: field.of_int(c) for w, c in coeffs.items()})
+        if not f.is_zero():
+            relations.append(f)
+    return alphabet, relations
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dimensions_match_dimension_oracle(field, data):
+    alphabet, relations = data.draw(_graded_presentations(field))
+    gb = compute_truncated_gb(alphabet, field, relations, 5)
+    assert gb.dimensions() == [ideal_dimension_oracle(alphabet, relations, n, field.char or None)
+                               for n in range(6)]
