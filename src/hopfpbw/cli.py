@@ -82,12 +82,21 @@ def _field_name(field) -> str:
 def parse_presentation(path, field_override=None, bound=None):
     """Load and validate a presentation file.  Relations are parsed under
     ``bound``, else the file's ``degree_bound``, so a power above it is
-    refused before it is built; the rest of the checks on a relation run
-    when the ``Presentation`` is built.
+    refused before it is built; the image of a generator ``x`` is parsed
+    under ``max(bound, deg x)``, as a leg power above that already fails
+    triangularity.  The rest of the checks on a relation run when the
+    ``Presentation`` is built.
 
     Returns ``(alphabet, field, relations, images, digest, bound_from_file)``;
     the digest is a stable hash of the canonicalized content.
     """
+    return _parse_presentation(path, field_override, bound, require_bound=False)
+
+
+def _parse_presentation(path, field_override, bound, require_bound):
+    """``parse_presentation``; with ``require_bound``, a file without a bound
+    is refused before any expression in it is parsed, as an unbounded power
+    costs time and memory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -117,11 +126,15 @@ def parse_presentation(path, field_override=None, bound=None):
     file_bound = raw.get("degree_bound")
     if file_bound is not None and not _is_positive_int(file_bound):
         raise InputError(f"{path}: degree_bound must be a positive integer")
+    if bound is None:
+        bound = file_bound
+    if bound is None and require_bound:
+        raise InputError("a degree bound is required (file degree_bound or --bound)")
 
     relations = []
     for i, src in enumerate(raw.get("relations", [])):
         try:
-            rel = parse_polynomial(src, alphabet, field, file_bound if bound is None else bound)
+            rel = parse_polynomial(src, alphabet, field, bound)
         except ExpressionError as exc:
             raise InputError(f"{path}: relation {i + 1}: {exc}") from None
         relations.append(rel)
@@ -133,8 +146,9 @@ def parse_presentation(path, field_override=None, bound=None):
     for name in sorted(comul):
         if name not in alphabet.index:
             raise InputError(f"{path}: comultiplication names unknown generator {name!r}")
+        image_bound = None if bound is None else max(bound, alphabet.degrees[alphabet.index[name]])
         try:
-            images[name] = parse_tensor(comul[name], alphabet, field)
+            images[name] = parse_tensor(comul[name], alphabet, field, image_bound)
         except ExpressionError as exc:
             raise InputError(f"{path}: comultiplication of {name!r}: {exc}") from None
 
@@ -156,11 +170,9 @@ def _is_positive_int(value) -> bool:
 
 def _presentation_from_args(args):
     override = _parse_field(args.field) if args.field else None
-    alphabet, field, relations, images, digest, file_bound = parse_presentation(
-        args.file, field_override=override, bound=args.bound)
+    alphabet, field, relations, images, digest, file_bound = _parse_presentation(
+        args.file, override, args.bound, require_bound=True)
     bound = args.bound if args.bound is not None else file_bound
-    if bound is None:
-        raise InputError("a degree bound is required (file degree_bound or --bound)")
     try:
         pres = Presentation(alphabet, field, relations, images, bound)
     except RelationError as exc:

@@ -76,12 +76,7 @@ class Comultiplication:
         return cached
 
     def of_poly(self, f: Polynomial) -> TensorElement:
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        out = {}
-        for w, c in f.coeffs.items():
-            for p, x in self.of_word(w).coeffs.items():
-                out[p] = add(out.get(p, zero), mul(c, x))
-        return TensorElement(self.alphabet, self.field, out)
+        return f.extend_linearly(self.of_word, TensorElement)
 
 
 def _primitive_image(alphabet, field, idx) -> TensorElement:
@@ -256,12 +251,7 @@ class Antipode:
         return cached
 
     def of(self, f: Polynomial) -> Polynomial:
-        add, mul, zero = f.field.add, f.field.mul, f.field.zero
-        out = {}
-        for w, c in f.coeffs.items():
-            for u, x in self._of_word(w).coeffs.items():
-                out[u] = add(out.get(u, zero), mul(c, x))
-        return self.gb._reduce(Polynomial(f.alphabet, f.field, out))
+        return self.gb._reduce(f.extend_linearly(self._of_word, Polynomial))
 
     def convolution_check(self, max_degree: int) -> CheckReport:
         """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` on irreducible words."""

@@ -221,8 +221,8 @@ def parse_polynomial(src: str, alphabet, field, bound=None) -> Polynomial:
     return parse_expression(src, "poly", alphabet, field, bound)
 
 
-def parse_tensor(src: str, alphabet, field) -> TensorElement:
-    return parse_expression(src, "tensor", alphabet, field)
+def parse_tensor(src: str, alphabet, field, bound=None) -> TensorElement:
+    return parse_expression(src, "tensor", alphabet, field, bound)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -1,19 +1,27 @@
 """Exact arithmetic in the free algebra and its tensor square.
 
 Polynomials are finitely supported scalar mappings on words, tensor elements
-the same on pairs of words.  Scalars are those of the field (see
-``fields``): over Q an ``int`` when integral and a ``Fraction`` otherwise,
-over F_p a residue; a zero scalar is never stored.  Support iteration order
-is canonical: graded-lex descending, so the leading word is the first key;
-the constructor sorts once, and code that already holds a canonical mapping
-passes ``_normalized=True``.  The standard bracketing is computed once per
-word with integer coefficients and cached on the alphabet; scalars are
-materialized per field on demand.
+the same on pairs of words, and both rest on one sparse-combination core,
+``_Combination``: the sorting constructor, equality, degree, homogeneous
+components, sum, difference, scaling, product and linear extension are
+written once.  Each class supplies four per-key hooks: its sort order
+(``_key_order``), the degree of a key (``_key_degree``), the unit key
+(``_UNIT_KEY``) and the product of two keys (``_key_product``).  Scalars are
+those of the field (see ``fields``): over Q an ``int`` when integral and a
+``Fraction`` otherwise, over F_p a residue; a zero scalar is never stored.
+Support iteration order is canonical: graded-lex descending, leg by leg for
+pairs, so a polynomial's leading word is its first key; the constructor sorts
+once, and code that already holds a canonical mapping passes
+``_normalized=True``.  The standard bracketing is computed once per word with
+integer coefficients and cached on the alphabet; scalars are materialized per
+field on demand.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import partial
 
 from .word import (
     Alphabet,
@@ -24,17 +32,26 @@ from .word import (
 )
 
 
-class Polynomial:
-    """Element of the free algebra over a fixed alphabet and scalar field."""
+class _Combination:
+    """The core shared by ``Polynomial`` and ``TensorElement``: a scalar
+    mapping on keys, extended through the per-key hooks of the subclass."""
 
     __slots__ = ("alphabet", "field", "coeffs")
+
+    def __init_subclass__(cls):
+        # perfbench/tracer.py wraps the methods it finds in a class's own
+        # namespace, so each subclass holds its own binding of the core.
+        for name in ("__init__", "__add__", "__sub__", "__neg__", "scale", "__mul__",
+                     "homogeneous_components"):
+            setattr(cls, name, vars(_Combination)[name])
 
     def __init__(self, alphabet, field, coeffs, _normalized=False):
         self.alphabet = alphabet
         self.field = field
         if not _normalized:
-            support = sorted([w for w, c in coeffs.items() if c], key=alphabet.glex_key, reverse=True)
-            coeffs = {w: coeffs[w] for w in support}
+            support = sorted([k for k, c in coeffs.items() if c],
+                             key=partial(self._key_order, alphabet), reverse=True)
+            coeffs = {k: coeffs[k] for k in support}
         self.coeffs = coeffs
 
     # -- constructors ------------------------------------------------------
@@ -45,16 +62,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, alphabet, field):
-        return cls(alphabet, field, {(): field.one}, _normalized=True)
-
-    @classmethod
-    def from_word(cls, alphabet, field, w: Word, coeff=None):
-        c = field.one if coeff is None else coeff
-        return cls(alphabet, field, {tuple(w): c})
-
-    @classmethod
-    def generator(cls, alphabet, field, name: str):
-        return cls.from_word(alphabet, field, (alphabet.letter(name),))
+        return cls(alphabet, field, {cls._UNIT_KEY: field.one}, _normalized=True)
 
     # -- basic structure ---------------------------------------------------
 
@@ -66,11 +74,99 @@ class Polynomial:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Polynomial)
+            type(other) is type(self)
             and self.field == other.field
             and self.alphabet == other.alphabet
             and self.coeffs == other.coeffs
         )
+
+    def degree(self) -> int:
+        """Largest degree of a support key; -1 for zero."""
+        return max(map(partial(self._key_degree, self.alphabet), self.coeffs), default=-1)
+
+    def homogeneous_components(self) -> dict:
+        deg = partial(self._key_degree, self.alphabet)
+        parts = {}
+        for k, c in self.coeffs.items():
+            parts.setdefault(deg(k), {})[k] = c
+        return {
+            n: type(self)(self.alphabet, self.field, part, _normalized=True)
+            for n, part in sorted(parts.items())
+        }
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot combine {type(self).__name__} and {type(other).__name__} operands")
+        if self.field != other.field:
+            raise ValueError("mixed scalar modes")
+        if self.alphabet != other.alphabet:
+            raise ValueError("operands over different alphabets")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        add, zero = self.field.add, self.field.zero
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = add(out.get(k, zero), c)
+        return type(self)(self.alphabet, self.field, out)
+
+    def __sub__(self, other):
+        return self + other.scale(self.field.neg(self.field.one))
+
+    def __neg__(self):
+        return self.scale(self.field.neg(self.field.one))
+
+    def scale(self, c):
+        if c == self.field.zero:
+            return type(self).zero(self.alphabet, self.field)
+        mul = self.field.mul
+        return type(self)(
+            self.alphabet, self.field,
+            {k: mul(c, v) for k, v in self.coeffs.items()}, _normalized=True,
+        )
+
+    def __mul__(self, other):
+        self._check_compatible(other)
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        product = self._key_product
+        out = {}
+        for u, a in self.coeffs.items():
+            for v, b in other.coeffs.items():
+                k = product(u, v)
+                out[k] = add(out.get(k, zero), mul(a, b))
+        return type(self)(self.alphabet, self.field, out)
+
+    def extend_linearly(self, image, cls):
+        """``sum c * image(k)`` over the terms ``c k`` of ``self``: the linear
+        map sending each key ``k`` to the element ``image(k)`` of ``cls``."""
+        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        out = {}
+        for k, c in self.coeffs.items():
+            for p, x in image(k).coeffs.items():
+                out[p] = add(out.get(p, zero), mul(c, x))
+        return cls(self.alphabet, self.field, out)
+
+
+class Polynomial(_Combination):
+    """Element of the free algebra over a fixed alphabet and scalar field."""
+
+    __slots__ = ()
+    _UNIT_KEY = ()
+    _key_order = staticmethod(Alphabet.glex_key)
+    _key_degree = staticmethod(Alphabet.degree)
+    _key_product = staticmethod(operator.add)     # concatenation of words
+
+    @classmethod
+    def from_word(cls, alphabet, field, w: Word, coeff=None):
+        c = field.one if coeff is None else coeff
+        return cls(alphabet, field, {tuple(w): c})
+
+    @classmethod
+    def generator(cls, alphabet, field, name: str):
+        return cls.from_word(alphabet, field, (alphabet.letter(name),))
 
     def __hash__(self):
         return hash((self.field, frozenset(self.coeffs.items())))
@@ -86,65 +182,8 @@ class Polynomial:
     def leading_coefficient(self):
         return self.coeffs[self.leading_word()]
 
-    def degree(self) -> int:
-        """Largest degree of a support word; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return self.alphabet.degree(self.leading_word())
-
-    def homogeneous_components(self) -> dict:
-        deg = self.alphabet.degree
-        parts = {}
-        for w, c in self.coeffs.items():
-            parts.setdefault(deg(w), {})[w] = c
-        return {
-            n: Polynomial(self.alphabet, self.field, part, _normalized=True)
-            for n, part in sorted(parts.items())
-        }
-
     def is_homogeneous(self) -> bool:
         return len(self.homogeneous_components()) <= 1
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed scalar modes")
-        if self.alphabet != other.alphabet:
-            raise ValueError("operands over different alphabets")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        add, zero = self.field.add, self.field.zero
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = add(out.get(w, zero), c)
-        return Polynomial(self.alphabet, self.field, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c):
-        if c == self.field.zero:
-            return Polynomial.zero(self.alphabet, self.field)
-        mul = self.field.mul
-        return Polynomial(
-            self.alphabet, self.field,
-            {w: mul(c, v) for w, v in self.coeffs.items()}, _normalized=True,
-        )
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        out = {}
-        for u, a in self.coeffs.items():
-            for v, b in other.coeffs.items():
-                w = u + v
-                out[w] = add(out.get(w, zero), mul(a, b))
-        return Polynomial(self.alphabet, self.field, out)
 
     def __repr__(self):
         from .expressions import render_polynomial
@@ -152,28 +191,24 @@ class Polynomial:
         return render_polynomial(self)
 
 
-class TensorElement:
-    """Element of the tensor square; keys are pairs of words."""
+class TensorElement(_Combination):
+    """Element of the tensor square; keys are pairs of words, ordered by
+    the graded lex order of the left leg, then of the right leg."""
 
-    __slots__ = ("alphabet", "field", "coeffs")
+    __slots__ = ()
+    _UNIT_KEY = ((), ())
 
-    def __init__(self, alphabet, field, coeffs, _normalized=False):
-        self.alphabet = alphabet
-        self.field = field
-        if not _normalized:
-            key = alphabet.glex_key
-            support = sorted([p for p, c in coeffs.items() if c],
-                             key=lambda p: (key(p[0]), key(p[1])), reverse=True)
-            coeffs = {p: coeffs[p] for p in support}
-        self.coeffs = coeffs
+    @staticmethod
+    def _key_order(alphabet, p):
+        return (alphabet.glex_key(p[0]), alphabet.glex_key(p[1]))
 
-    @classmethod
-    def zero(cls, alphabet, field):
-        return cls(alphabet, field, {}, _normalized=True)
+    @staticmethod
+    def _key_degree(alphabet, p):
+        return alphabet.degree(p[0]) + alphabet.degree(p[1])
 
-    @classmethod
-    def one(cls, alphabet, field):
-        return cls(alphabet, field, {((), ()): field.one}, _normalized=True)
+    @staticmethod
+    def _key_product(p, q):
+        return (p[0] + q[0], p[1] + q[1])
 
     @classmethod
     def of(cls, left: Polynomial, right: Polynomial):
@@ -185,75 +220,6 @@ class TensorElement:
             for v, b in right.coeffs.items():
                 out[(u, v)] = mul(a, b)
         return cls(left.alphabet, left.field, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.field == other.field
-            and self.alphabet == other.alphabet
-            and self.coeffs == other.coeffs
-        )
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        deg = self.alphabet.degree
-        return max(deg(a) + deg(b) for a, b in self.coeffs)
-
-    def homogeneous_components(self) -> dict:
-        deg = self.alphabet.degree
-        parts = {}
-        for (a, b), c in self.coeffs.items():
-            parts.setdefault(deg(a) + deg(b), {})[(a, b)] = c
-        return {
-            n: TensorElement(self.alphabet, self.field, part, _normalized=True)
-            for n, part in sorted(parts.items())
-        }
-
-    def _check_compatible(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed scalar modes")
-        if self.alphabet != other.alphabet:
-            raise ValueError("operands over different alphabets")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        add, zero = self.field.add, self.field.zero
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = add(out.get(p, zero), c)
-        return TensorElement(self.alphabet, self.field, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c):
-        if c == self.field.zero:
-            return TensorElement.zero(self.alphabet, self.field)
-        mul = self.field.mul
-        return TensorElement(
-            self.alphabet, self.field,
-            {p: mul(c, v) for p, v in self.coeffs.items()}, _normalized=True,
-        )
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        out = {}
-        for (a, b), x in self.coeffs.items():
-            for (c, d), y in other.coeffs.items():
-                p = (a + c, b + d)
-                out[p] = add(out.get(p, zero), mul(x, y))
-        return TensorElement(self.alphabet, self.field, out)
 
     def map_legs(self, fleft, fright):
         """Apply linear maps (given on polynomials) to the two legs."""
@@ -278,8 +244,6 @@ class TensorElement:
 
 def multiply(f, g):
     """Product of two polynomials or two tensor elements."""
-    if isinstance(f, Polynomial) != isinstance(g, Polynomial):
-        raise ValueError("cannot multiply a polynomial by a tensor element")
     return f * g
 
 

@@ -413,27 +413,28 @@ def tensor_bracket_coordinates(t: TensorElement, gb: TruncatedGB) -> dict:
     with ``(NF (x) NF)(t) = sum c NF([w]) (x) NF([w'])``.
     """
     alphabet, fld = t.alphabet, t.field
-    add, zero = fld.add, fld.zero
     key = alphabet.glex_key
 
+    # Every regrouping below is keyed by a pair that is unique where it is
+    # read, so each term is assigned, never accumulated.
     by_right: dict = {}
     for (a, b), c in t.coeffs.items():
-        by_right.setdefault(b, {})[a] = add(by_right.get(b, {}).get(a, zero), c)
+        by_right.setdefault(b, {})[a] = c
     mid: dict = {}
     for b in sorted(by_right, key=key, reverse=True):
         left = Polynomial(alphabet, fld, by_right[b])
         for w, c in bracket_coordinates(left, gb).items():
-            mid[(w, b)] = add(mid.get((w, b), zero), c)
+            mid[(w, b)] = c
 
     by_left: dict = {}
     for (w, b), c in mid.items():
-        by_left.setdefault(w, {})[b] = add(by_left.get(w, {}).get(b, zero), c)
+        by_left.setdefault(w, {})[b] = c
     out: dict = {}
     for w in sorted(by_left, key=key, reverse=True):
         right = Polynomial(alphabet, fld, by_left[w])
+        # bracket_coordinates never returns a zero coordinate.
         for w2, c in bracket_coordinates(right, gb).items():
-            if c != zero:
-                out[(w, w2)] = c
+            out[(w, w2)] = c
     return out
 
 

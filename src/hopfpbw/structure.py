@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
-from .poly import Polynomial, TensorElement, standard_bracket
+from .poly import Polynomial, TensorElement, commutator, standard_bracket
 from .rewrite import (
     IrreducibleData,
     OutOfCertifiedRange,
@@ -159,7 +159,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
             if alphabet.degree(u) + alphabet.degree(v) > gb.bound:
                 skipped += 1
                 continue
-            comm = z_table[u] * z_table[v] - z_table[v] * z_table[u]
+            comm = commutator(z_table[u], z_table[v])
             for w, _c in bracket_coordinates(comm, gb).items():
                 if not factors_below(w, u):
                     details2.append(
@@ -274,7 +274,7 @@ def extract_ihoe(presentation: Presentation, report: StructureReport | None = No
         allowed = set(gamma[:i])
         for j in range(i):
             zj = report.z_table[gamma[j]]
-            value = gb.normal_form(zi * zj - zj * zi)
+            value = gb.normal_form(commutator(zi, zj))
             coords = bracket_coordinates(value, gb)
             terms = []
             for w, c in coords.items():
@@ -388,7 +388,7 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
                 continue
             bu = standard_bracket(alphabet, u, field)
             bv = standard_bracket(alphabet, v, field)
-            comm = bu * bv - bv * bu
+            comm = commutator(bu, bv)
             for w, _c in bracket_coordinates(comm, gb).items():
                 if not factors_below(w, uv, strict=False):
                     details2.append(

@@ -526,6 +526,30 @@ def test_power_above_bound_is_refused_before_it_is_built(tmp_path, capsys, bound
         f"x^99999999 has degree 199999998 above the bound {bound}\n")
 
 
+def test_missing_bound_is_refused_before_parsing(tmp_path, capsys):
+    # without a bound the relation is never read, so its syntax error never shows
+    path = tmp_path / "nobound.json"
+    path.write_text(json.dumps({"field": "Q", "generators": [{"name": "x", "degree": 1}],
+                                "relations": ["x^^2 +"]}))
+    code, report, _text = run(["gb", str(path)])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "error: a degree bound is required (file degree_bound or --bound)\n")
+
+
+def test_image_power_above_bound_is_refused_before_it_is_built(tmp_path, capsys):
+    # the image of x is parsed under max(bound, deg x) = 4
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps({"field": "Q", "generators": [{"name": "x", "degree": 1}],
+                                "relations": [], "degree_bound": 4,
+                                "comultiplication": {"x": "x^4000000#1 + 1#x"}}))
+    start = time.perf_counter()
+    code, report, _text = run(["gb", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_relation_errors_name_the_file(tmp_path, capsys):
     for relation, message in (("x*x - x*x", "relation 1 is zero"),
                               ("x*x - x", "relation 1 is inhomogeneous: degrees 1 and 2")):

@@ -19,6 +19,7 @@ from hopfpbw import (
     free_gb,
     is_lyndon,
     lyndon_decomposition,
+    multiply,
     parse_polynomial,
     standard_bracket,
     standard_comultiplication,
@@ -49,6 +50,14 @@ def test_multiplication_mixed_modes_rejected():
         P("x1") * P("x1", field=PrimeField(5))
     with pytest.raises(ValueError):
         P("x1") * P("x1", alphabet=AB3)
+    # a polynomial never combines with a tensor element, in either order
+    x = P("x1")
+    t = TensorElement.of(x, P("x2"))
+    for mixed in (lambda: x + t, lambda: x * t, lambda: t * x, lambda: t - x,
+                  lambda: multiply(x, t), lambda: multiply(t, x)):
+        with pytest.raises(ValueError, match="Polynomial and TensorElement|TensorElement and Polynomial"):
+            mixed()
+    assert not x == t and not t == x
 
 
 def test_arithmetic_properties_randomized():
@@ -65,6 +74,44 @@ def test_arithmetic_properties_randomized():
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert (f + g).degree() <= max(f.degree(), g.degree())
+
+    # tensors over Q and F_p: few short words and small scalars, so that
+    # sums and products cancel
+    short = list(all_words(2, 2))
+    for field in (QQ, PrimeField(5)):
+        def scalar():
+            return field.of_int(rng.randint(-2, 2))
+
+        def random_tensor():
+            return TensorElement(
+                AB2, field,
+                {(rng.choice(short), rng.choice(short)): scalar() for _ in range(4)})
+
+        for _ in range(60):
+            _check_tensor_arithmetic(random_tensor(), random_tensor(), random_tensor(), scalar())
+
+
+def _assert_canonical_tensor(t):
+    """No zero scalar is stored and keys run (glex left, glex right) descending."""
+    key = t.alphabet.glex_key
+    assert all(c != t.field.zero for c in t.coeffs.values())
+    keys = list(t.coeffs)
+    assert keys == sorted(keys, key=lambda p: (key(p[0]), key(p[1])), reverse=True)
+
+
+def _check_tensor_arithmetic(f, g, h, c):
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+    assert (f - g) + g == f and (f - f).is_zero()
+    assert f.scale(c) + g.scale(c) == (f + g).scale(c)
+    for t in (f + g, f - g, -f, f * g, f.scale(c)):
+        _assert_canonical_tensor(t)
+    parts = (f * g).homogeneous_components()
+    for n, part in parts.items():
+        _assert_canonical_tensor(part)
+        assert part.degree() == n
+    assert sum(parts.values(), TensorElement.zero(f.alphabet, f.field)) == f * g
 
 
 def test_prime_field_agrees_with_reduction():
