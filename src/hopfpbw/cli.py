@@ -59,20 +59,17 @@ def _parse_field(spec):
         p = spec["Fp"]
         if not isinstance(p, int):
             raise InputError("field Fp modulus must be an integer")
-        try:
-            return PrimeField(p)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    if isinstance(spec, str) and spec.startswith("Fp:"):
+    elif isinstance(spec, str) and spec.startswith("Fp:"):
         try:
             p = int(spec[3:])
         except ValueError:
             raise InputError(f"malformed field {spec!r}") from None
-        try:
-            return PrimeField(p)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    raise InputError(f"unknown field {spec!r} (expected Q or Fp:<prime>)")
+    else:
+        raise InputError(f"unknown field {spec!r} (expected Q or Fp:<prime>)")
+    try:
+        return PrimeField(p)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _field_name(field) -> str:

@@ -143,7 +143,7 @@ class _Parser:
             return Polynomial.from_word(self.alphabet, self.field, (letter,) * power)
         if kind == "symbol" and value == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.parse_sum(self.parse_term)
             self.expect_symbol(")")
             return inner
         self.error("expected a generator, a rational or '('")
@@ -154,20 +154,19 @@ class _Parser:
             f = f * self.parse_factor()
         return f
 
-    def parse_expr(self):
-        sign = 1
-        if self.accept_symbol("-"):
-            sign = -1
-        elif self.accept_symbol("+"):
-            pass
-        out = self.parse_term()
-        if sign < 0:
+    def parse_sum(self, summand):
+        """``[sign] summand (sign summand)*``, each summand read by ``summand``."""
+        negate = self.accept_symbol("-")
+        if not negate:
+            self.accept_symbol("+")
+        out = summand()
+        if negate:
             out = -out
         while True:
             if self.accept_symbol("+"):
-                out = out + self.parse_term()
+                out = out + summand()
             elif self.accept_symbol("-"):
-                out = out - self.parse_term()
+                out = out - summand()
             else:
                 return out
 
@@ -179,25 +178,8 @@ class _Parser:
         right = self.parse_term()
         return TensorElement.of(left, right)
 
-    def parse_tensor_expr(self):
-        sign = 1
-        if self.accept_symbol("-"):
-            sign = -1
-        elif self.accept_symbol("+"):
-            pass
-        out = self.parse_tensor_summand()
-        if sign < 0:
-            out = -out
-        while True:
-            if self.accept_symbol("+"):
-                out = out + self.parse_tensor_summand()
-            elif self.accept_symbol("-"):
-                out = out - self.parse_tensor_summand()
-            else:
-                return out
-
     def run(self):
-        out = self.parse_tensor_expr() if self.tensor_mode else self.parse_expr()
+        out = self.parse_sum(self.parse_tensor_summand if self.tensor_mode else self.parse_term)
         kind, value, line, col = self.peek()
         if kind != "end":
             if kind == "symbol" and value == "#":

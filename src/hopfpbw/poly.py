@@ -6,7 +6,8 @@ the same on pairs of words, and both rest on one sparse-combination core,
 components, sum, difference, scaling, product and linear extension are
 written once.  Each class supplies four per-key hooks: its sort order
 (``_key_order``), the degree of a key (``_key_degree``), the unit key
-(``_UNIT_KEY``) and the product of two keys (``_key_product``).  Scalars are
+(``_UNIT_KEY``) and the product of two keys (``_key_product``); a polynomial
+reads its degree off its leading word instead of scanning.  Scalars are
 those of the field (see ``fields``): over Q an ``int`` when integral and a
 ``Fraction`` otherwise, over F_p a residue; a zero scalar is never stored.
 Support iteration order is canonical: graded-lex descending, leg by leg for
@@ -173,6 +174,10 @@ class Polynomial(_Combination):
 
     def coefficient(self, w: Word):
         return self.coeffs.get(tuple(w), self.field.zero)
+
+    def degree(self) -> int:
+        """Degree of the leading word (``.coeffs`` is glex descending); -1 for zero."""
+        return self.alphabet.degree(self.leading_word()) if self.coeffs else -1
 
     def leading_word(self) -> Word:
         if not self.coeffs:

@@ -21,8 +21,8 @@ from .rewrite import (
     IrreducibleData,
     OutOfCertifiedRange,
     TruncatedGB,
+    _nf_bracket,
     _validate_relation,
-    admissible_words,
     bracket_coordinates,
     collect_irreducible_data,
     compute_truncated_gb,
@@ -73,8 +73,9 @@ class StructureReport:
     bound: int
     triangular: CheckReport
     stability: CheckReport
-    gamma: list = dataclass_field(default_factory=list)       # lex-sorted words
-    z_table: dict = dataclass_field(default_factory=dict)     # word -> normal form of its bracket
+    gamma: list = dataclass_field(default_factory=list)        # lex-sorted words
+    z_table: dict = dataclass_field(default_factory=dict)      # word -> normal form of its bracket
+    commutators: dict = dataclass_field(default_factory=dict)  # (u, v) -> coordinates of [z_u, z_v]
     dims: list = dataclass_field(default_factory=list)
     condition1: CheckReport | None = None
     condition2: CheckReport | None = None
@@ -129,18 +130,20 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
 
     data = collect_irreducible_data(gb)
     gamma = sorted(data.lyndon, key=alphabet.lex_key)
-    z_table = {u: gb.normal_form(standard_bracket(alphabet, u, field)) for u in gamma}
+    z_table = {u: _nf_bracket(gb, u) for u in gamma}
     report.data = data
     report.gamma = gamma
     report.z_table = z_table
+    report.commutators = _commutator_coordinates(gb, gamma)
     report.dims = data.dimensions
 
-    # Condition (1): coproduct membership per generator.
+    # Condition (1): coproduct membership per generator.  Delta(z_u) has the
+    # coordinates of Delta([u]): [u] - z_u lies in the stable ideal I, so they
+    # differ in I(x)A + A(x)I, which the leg-wise normal form removes.
     one = Polynomial.one(alphabet, field)
     details1 = []
-    for u in gamma:
-        bu = standard_bracket(alphabet, u, field)
-        rest = comul.of_poly(bu) - TensorElement.of(one, bu) - TensorElement.of(bu, one)
+    for u, z in z_table.items():
+        rest = comul.of_poly(z) - TensorElement.of(one, z) - TensorElement.of(z, one)
         for (w, w2), _c in tensor_bracket_coordinates(rest, gb).items():
             if not w or not w2:
                 details1.append(
@@ -153,19 +156,14 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
 
     # Condition (2): commutators fall into the subalgebra below the larger word.
     details2 = []
-    skipped = 0
-    for i, u in enumerate(gamma):
-        for v in gamma[:i]:
-            if alphabet.degree(u) + alphabet.degree(v) > gb.bound:
-                skipped += 1
-                continue
-            comm = commutator(z_table[u], z_table[v])
-            for w, _c in bracket_coordinates(comm, gb).items():
-                if not factors_below(w, u):
-                    details2.append(
-                        f"[{render_word(alphabet, u)}, {render_word(alphabet, v)}]: "
-                        f"coordinate {render_word(alphabet, w)} not below the larger word")
+    for (u, v), coords in report.commutators.items():
+        for w in coords:
+            if not factors_below(w, u):
+                details2.append(
+                    f"[{render_word(alphabet, u)}, {render_word(alphabet, v)}]: "
+                    f"coordinate {render_word(alphabet, w)} not below the larger word")
     cond2 = CheckReport("pbw condition (2): commutators", not details2, details2)
+    skipped = len(gamma) * (len(gamma) - 1) // 2 - len(report.commutators)
     if skipped:
         cond2.details.append(f"note: {skipped} pairs above the bound were not checked")
     report.condition2 = cond2
@@ -183,35 +181,60 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     return report
 
 
+def _commutator_coordinates(gb: TruncatedGB, words) -> dict:
+    """``{(u, v): bracket coordinates of [z_u, z_v]}`` over the pairs of
+    ``words`` with ``u > v`` (lex) and ``deg(uv) <= bound``, in the order of
+    ``words``; ``z_w = NF([w])``.  NF is multiplicative below the bound, so
+    these are also the coordinates of ``[[u], [v]]``."""
+    degree = gb.alphabet.degree
+    table = {}
+    for u in words:
+        for v in words:
+            if compare_lex(u, v) == GREATER and degree(u) + degree(v) <= gb.bound:
+                comm = commutator(_nf_bracket(gb, u), _nf_bracket(gb, v))
+                table[(u, v)] = bracket_coordinates(comm, gb)
+    return table
+
+
+def _monomial_counts(gb: TruncatedGB, words, capped: bool) -> list[int]:
+    """Ordered monomials in ``words`` per degree ``0..bound``: the
+    coefficients of the product of ``1/(1 - t^deg u)``.  With ``capped``, the
+    exponent of a word of height ``h`` stays below ``h``, which multiplies its
+    factor by ``1 - t^(h deg u)``."""
+    bound = gb.bound
+    counts = [1] + [0] * bound
+    for u in words:
+        d = gb.alphabet.degree(u)
+        for n in range(d, bound + 1):
+            counts[n] += counts[n - d]
+        h = gb.height(u) if capped else None
+        if h is not None:
+            for n in range(bound, h * d - 1, -1):
+                counts[n] -= counts[n - h * d]
+    return counts
+
+
 def _basis_counts(gb: TruncatedGB, dims, name: str) -> CheckReport:
     """The ordered monomials of each degree (B, or C over a prime field)
     count the quotient dimensions ``dims``."""
-    kind = "B" if gb.field.char == 0 else "C"
+    words = irreducible_lyndon_words(gb, gb.bound)
+    counts = _monomial_counts(gb, words, capped=gb.field.char != 0)
     details = []
-    for n in range(gb.bound + 1):
-        count = len(admissible_words(gb, n, kind))
+    for n, count in enumerate(counts):
         if count != dims[n]:
             details.append(
                 f"degree {n}: {count} ordered monomials vs quotient dimension {dims[n]}")
     return CheckReport(name, not details, details)
 
 
-def hilbert_and_gk(report: StructureReport, max_degree: int | None = None):
+def hilbert_and_gk(report: StructureReport):
     """Dimensions per degree, the product-identity verdict and a growth verdict.
 
     Returns ``(coeffs, identity_report, gk_verdict)`` where ``gk_verdict`` is
     a dict with the certification level spelled out.
     """
-    bound = report.bound if max_degree is None else max_degree
-    if bound > report.bound:
-        raise OutOfCertifiedRange(f"degree {bound} exceeds bound {report.bound}")
-    coeffs = report.dims[:bound + 1]
-    product = [0] * (bound + 1)
-    product[0] = 1
-    for u in report.gamma:
-        d = report.gb.alphabet.degree(u)
-        for n in range(d, bound + 1):
-            product[n] += product[n - d]
+    coeffs = list(report.dims)
+    product = _monomial_counts(report.gb, report.gamma, capped=False)
     details = []
     for n, (a, b) in enumerate(zip(coeffs, product)):
         if a != b:
@@ -256,28 +279,21 @@ def extract_ihoe(presentation: Presentation, report: StructureReport | None = No
     if report.gk_candidate is None:
         raise ValueError(
             "tower extraction refused: generator set not candidate-finite at this bound")
-    alphabet, field = presentation.alphabet, presentation.field
-    gb = report.gb
+    alphabet = presentation.alphabet
     gamma = report.gamma
     d = len(gamma)
-    for i in range(1, d):
-        for j in range(i):
-            if alphabet.degree(gamma[i]) + alphabet.degree(gamma[j]) > gb.bound:
-                raise OutOfCertifiedRange(
-                    "tower extraction refused: a derivation value exceeds the bound; "
-                    f"increase the bound beyond {gb.bound}")
+    if len(report.commutators) < d * (d - 1) // 2:
+        raise OutOfCertifiedRange(
+            "tower extraction refused: a derivation value exceeds the bound; "
+            f"increase the bound beyond {report.bound}")
     generators = [(u, alphabet.degree(u), report.z_table[u]) for u in gamma]
     derivations = {}
     closure_details = []
     for i in range(1, d):
-        zi = report.z_table[gamma[i]]
         allowed = set(gamma[:i])
         for j in range(i):
-            zj = report.z_table[gamma[j]]
-            value = gb.normal_form(commutator(zi, zj))
-            coords = bracket_coordinates(value, gb)
             terms = []
-            for w, c in coords.items():
+            for w, c in report.commutators[(gamma[i], gamma[j])].items():
                 exponents = [0] * d
                 bad = False
                 for factor in lyndon_decomposition(w):
@@ -362,7 +378,7 @@ def recover_lie_generators(presentation: Presentation, report: StructureReport |
 
 def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
     """The three quasi-primitivity certificates for the ideal."""
-    alphabet, field = presentation.alphabet, presentation.field
+    alphabet = presentation.alphabet
     _comul, tri, gb, stab = presentation.hypotheses()
     if not (tri.ok and stab.ok):
         failing = tri if not tri.ok else stab
@@ -379,21 +395,12 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
 
     irreducible = irreducible_lyndon_words(gb, gb.bound)
     details2 = []
-    for u in irreducible:
-        for v in irreducible:
-            if compare_lex(u, v) != GREATER:
-                continue
-            uv = u + v
-            if alphabet.degree(uv) > gb.bound:
-                continue
-            bu = standard_bracket(alphabet, u, field)
-            bv = standard_bracket(alphabet, v, field)
-            comm = commutator(bu, bv)
-            for w, _c in bracket_coordinates(comm, gb).items():
-                if not factors_below(w, uv, strict=False):
-                    details2.append(
-                        f"[[{render_word(alphabet, u)}],[{render_word(alphabet, v)}]]: "
-                        f"coordinate {render_word(alphabet, w)} above the product word")
+    for (u, v), coords in _commutator_coordinates(gb, irreducible).items():
+        for w in coords:
+            if not factors_below(w, u + v, strict=False):
+                details2.append(
+                    f"[[{render_word(alphabet, u)}],[{render_word(alphabet, v)}]]: "
+                    f"coordinate {render_word(alphabet, w)} above the product word")
     part2 = CheckReport("quasi-primitivity (2): irreducible commutators", not details2, details2)
     part3 = _basis_counts(gb, gb.dimensions(), "quasi-primitivity (3): basis counts")
     return [part1, part2, part3]

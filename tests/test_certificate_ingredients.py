@@ -1,0 +1,123 @@
+"""The shared ingredients of the PBW certificates equal what they replace:
+the commutator table equals the coordinates of free-algebra brackets, the
+coproduct of ``z_u`` has the coordinates of the coproduct of ``[u]``, and the
+product counts equal the enumerated ordered monomials."""
+
+from pathlib import Path
+
+import pytest
+
+from hopfpbw import (
+    Polynomial,
+    Presentation,
+    TensorElement,
+    admissible_words,
+    bracket_coordinates,
+    commutator,
+    extract_ihoe,
+    irreducible_lyndon_words,
+    standard_bracket,
+    tensor_bracket_coordinates,
+    verify_structure_theorem,
+)
+from hopfpbw.cli import _parse_field, parse_presentation
+from hopfpbw.word import GREATER, compare_lex
+import hopfpbw.structure as structure
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+FIELDS = (None, "Q", "Fp:7")   # None keeps the file's field
+MAX_BOUND = 8
+
+
+def _presentations():
+    """Every fixture under its own field, over Q and over F_7, at its file
+    bound (at most ``MAX_BOUND``); a relation that a field kills is left out."""
+    for path in FIXTURES:
+        for spec in FIELDS:
+            override = _parse_field(spec) if spec else None
+            alphabet, field, rels, images, _digest, bound = parse_presentation(path, override)
+            try:
+                pres = Presentation(alphabet, field, rels, images, min(bound, MAX_BOUND))
+            except ValueError:
+                continue
+            yield f"{path.stem}/{spec or 'file'}", pres
+
+
+PRESENTATIONS = dict(_presentations())
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """The presentations where triangularity and stability hold, with their reports."""
+    reports = {name: verify_structure_theorem(pres) for name, pres in PRESENTATIONS.items()}
+    return {name: (PRESENTATIONS[name], r) for name, r in reports.items() if r.hypotheses_ok}
+
+
+def test_certified_cases_cover_both_fields(certified):
+    assert len(certified) >= 20
+    assert {"heisenberg/Q", "heisenberg/Fp:7", "divided_powers/file",
+            "char2_square/file", "jordan_char2/file"} <= set(certified)
+
+
+def test_commutator_table_equals_free_algebra_brackets(certified):
+    checked = 0
+    for _name, (pres, report) in certified.items():
+        gb, alphabet, field = report.gb, pres.alphabet, pres.field
+        expected_pairs = [
+            (u, v) for u in report.gamma for v in report.gamma
+            if compare_lex(u, v) == GREATER and alphabet.degree(u + v) <= gb.bound]
+        assert list(report.commutators) == expected_pairs
+        for (u, v), coords in report.commutators.items():
+            free = commutator(standard_bracket(alphabet, u, field),
+                              standard_bracket(alphabet, v, field))
+            assert coords == bracket_coordinates(free, gb)
+            checked += 1
+    assert checked > 50
+
+
+def _coproduct_remainder_coordinates(comul, gb, f):
+    one = Polynomial.one(f.alphabet, f.field)
+    rest = comul.of_poly(f) - TensorElement.of(one, f) - TensorElement.of(f, one)
+    return tensor_bracket_coordinates(rest, gb)
+
+
+def test_condition1_coordinates_of_normal_form_equal_those_of_bracket(certified):
+    for _name, (pres, report) in certified.items():
+        comul, gb = pres.comultiplication(), report.gb
+        for u, z in report.z_table.items():
+            bu = standard_bracket(pres.alphabet, u, pres.field)
+            assert z == gb.normal_form(bu)
+            assert (_coproduct_remainder_coordinates(comul, gb, z)
+                    == _coproduct_remainder_coordinates(comul, gb, bu))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_product_counts_equal_enumerated_monomials(name):
+    gb = PRESENTATIONS[name].groebner()
+    words = irreducible_lyndon_words(gb, gb.bound)
+    for kind, capped in (("B", False), ("C", True)):
+        counts = structure._monomial_counts(gb, words, capped)
+        assert counts == [len(admissible_words(gb, n, kind)) for n in range(gb.bound + 1)]
+
+
+@pytest.mark.parametrize("name", ["char2_square", "char3_cube", "char5_fifth"])
+def test_prime_power_fixtures_cap_the_exponents(name):
+    gb = PRESENTATIONS[f"{name}/file"].groebner()
+    words = irreducible_lyndon_words(gb, gb.bound)
+    capped = structure._monomial_counts(gb, words, True)
+    assert capped != structure._monomial_counts(gb, words, False)
+    assert capped == gb.dimensions()
+
+
+def test_tower_reads_the_table(certified, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("tower extraction recomputed a commutator")
+
+    monkeypatch.setattr(structure, "bracket_coordinates", refuse)
+    monkeypatch.setattr(structure, "commutator", refuse)
+    for name in ("heisenberg/Q", "heisenberg/Fp:7", "commuting_pair/file",
+                 "divided_powers/file", "nonprimitive_pair/file"):
+        pres, report = certified[name]
+        tower = extract_ihoe(pres, report)
+        d = len(report.gamma)
+        assert tower.ok and len(tower.derivations) == d * (d - 1) // 2
