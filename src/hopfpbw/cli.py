@@ -28,7 +28,7 @@ from .expressions import (
     render_word,
 )
 from .fields import PrimeField, QQ
-from .poly import Polynomial
+from .poly import Polynomial, bracket_term_bound, standard_bracket
 from .rewrite import OutOfCertifiedRange, RelationError, WholeAlgebraIdeal, admissible_words
 from .structure import (
     Presentation,
@@ -45,7 +45,6 @@ from .word import (
     is_lyndon,
     lyndon_decomposition,
 )
-from . import poly as poly_mod
 
 
 class InputError(ValueError):
@@ -453,6 +452,10 @@ def _parse_word_arg(alphabet, text: str):
         raise InputError(str(exc.args[0])) from None
 
 
+# Larger brackets are refused: a random 26-letter Lyndon word took 40 s and 1 GB.
+_MAX_BRACKET_TERMS = 2 ** 20
+
+
 def _cmd_lyndon(args):
     alphabet = _parse_gens_spec(args.gens)
     w = _parse_word_arg(alphabet, args.word)
@@ -468,7 +471,9 @@ def _cmd_lyndon(args):
         _add_verdict(report, CheckReport("lyndon check", True,
                                          ["lyndon" if answer else "not lyndon"]))
     else:  # bracket
-        bracket = poly_mod.standard_bracket(alphabet, w, QQ)
+        if bracket_term_bound(w) > _MAX_BRACKET_TERMS:
+            raise InputError(f"bracket may have more than {_MAX_BRACKET_TERMS} terms; refused")
+        bracket = standard_bracket(alphabet, w, QQ)
         report["bracket"] = render_polynomial(bracket)
         _add_verdict(report, CheckReport("standard bracketing", True, []))
     return report

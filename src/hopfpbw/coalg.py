@@ -180,7 +180,7 @@ def check_coassoc_counit(comul: Comultiplication, gb: TruncatedGB, max_degree: i
                     left[b] = add(left.get(b, zero), c)
                 if not b:
                     right[a] = add(right.get(a, zero), c)
-            nf_w = gb.nf_word(w)
+            nf_w = Polynomial.from_word(alphabet, field, w)   # w is irreducible
             for side, data in (("eps (x) id", left), ("id (x) eps", right)):
                 got = gb._reduce(Polynomial(alphabet, field, data))
                 if got != nf_w:

@@ -13,9 +13,7 @@ those of the field (see ``fields``): over Q an ``int`` when integral and a
 Support iteration order is canonical: graded-lex descending, leg by leg for
 pairs, so a polynomial's leading word is its first key; the constructor sorts
 once, and code that already holds a canonical mapping passes
-``_normalized=True``.  The standard bracketing is computed once per word with
-integer coefficients and cached on the alphabet; scalars are materialized per
-field on demand.
+``_normalized=True``.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import math
 import operator
 from functools import partial
 
+from .fields import QQ
 from .word import (
     Alphabet,
     Word,
@@ -263,57 +262,56 @@ def leading_word(f: Polynomial) -> Word:
 # -- standard bracketing ---------------------------------------------------
 
 
-def _int_mul(u_coeffs: dict, v_coeffs: dict) -> dict:
-    out = {}
-    for u, a in u_coeffs.items():
-        for v, b in v_coeffs.items():
-            w = u + v
-            out[w] = out.get(w, 0) + a * b
-    return {w: c for w, c in out.items() if c}
-
-
-def _bracket_int(alphabet: Alphabet, w: Word) -> dict:
-    """Integer-coefficient standard bracketing of ``w``, cached."""
-    cache = alphabet._bracket_cache
-    got = cache.get(w)
-    if got is not None:
-        return got
+def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None) -> Polynomial:
+    """``[w]`` by Shirshov recursion: ``[x] = x``; for ``w = lr`` split by
+    ``shirshov_factorization``, ``[l][r] - [r][l]`` if ``w`` is Lyndon, else
+    ``[l][r]``.  Each value, letters included, goes through ``reduce`` if
+    given and into ``memo``; a reduction multiplicative on the words met
+    (NF below the bound of a complete system) thus never builds ``[w]``."""
+    if w in memo:
+        return memo[w]
     if len(w) <= 1:
-        value = {w: 1}
+        value = Polynomial.from_word(alphabet, field, w)
     else:
         left, right = shirshov_factorization(w)
-        bl = _bracket_int(alphabet, left)
-        br = _bracket_int(alphabet, right)
-        lr = _int_mul(bl, br)
-        if is_lyndon(w):
-            rl = _int_mul(br, bl)
-            value = {u: c for u in set(lr) | set(rl) if (c := lr.get(u, 0) - rl.get(u, 0))}
-        else:
-            value = lr
-    cache[w] = value
+        bl = _shirshov_bracket(alphabet, field, left, memo, reduce)
+        br = _shirshov_bracket(alphabet, field, right, memo, reduce)
+        value = bl * br - br * bl if is_lyndon(w) else bl * br
+    if reduce is not None:
+        value = reduce(value)
+    memo[w] = value
     return value
-
-
-def _materialize(alphabet, field, int_coeffs: dict) -> Polynomial:
-    of = field.of_int
-    return Polynomial(alphabet, field, {w: of(c) for w, c in int_coeffs.items()})
 
 
 def standard_bracket(alphabet: Alphabet, w: Word, field=None) -> Polynomial:
     """The recursive standard bracketing ``[w]``; ``[1] = 1``, ``[x] = x``."""
-    from .fields import QQ
-
-    return _materialize(alphabet, field or QQ, _bracket_int(alphabet, tuple(w)))
+    return _shirshov_bracket(alphabet, field or QQ, tuple(w), {})
 
 
 def bracket_monomial(alphabet: Alphabet, w: Word, field=None) -> Polynomial:
     """Product of the standard bracketings of the Lyndon factors of ``w``."""
-    from .fields import QQ
-
-    out = {(): 1}
+    field = field or QQ
+    memo = {}
+    out = Polynomial.one(alphabet, field)
     for factor in lyndon_decomposition(tuple(w)):
-        out = _int_mul(out, _bracket_int(alphabet, factor))
-    return _materialize(alphabet, field or QQ, out)
+        out = out * _shirshov_bracket(alphabet, field, factor, memo)
+    return out
+
+
+def bracket_term_bound(w: Word) -> int:
+    """An upper bound on the terms of ``[w]``, found without building it: the
+    smaller of the rearrangements of ``w`` and 2^(Lyndon nodes of the Shirshov
+    tree), as each such node at most doubles the product of its children's."""
+    rearrangements = math.factorial(len(w))
+    for letter in set(w):
+        rearrangements //= math.factorial(w.count(letter))
+    lyndon_nodes, stack = 0, [tuple(w)]
+    while stack and 2 ** lyndon_nodes < rearrangements:
+        u = stack.pop()
+        if len(u) > 1:
+            lyndon_nodes += is_lyndon(u)
+            stack.extend(shirshov_factorization(u))
+    return min(2 ** lyndon_nodes, rearrangements)
 
 
 # -- standard comultiplication ---------------------------------------------

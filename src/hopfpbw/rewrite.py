@@ -19,7 +19,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
-from .poly import Polynomial, TensorElement, standard_bracket
+from .poly import Polynomial, TensorElement, _shirshov_bracket
 from .word import count_words_by_degree, is_lyndon, lyndon_words, words_of_degree
 
 
@@ -386,11 +386,8 @@ def admissible_words(gb: TruncatedGB, n: int, kind: str = "irreducible") -> list
 
 
 def _nf_bracket(gb: TruncatedGB, w) -> Polynomial:
-    cached = gb._nf_bracket_cache.get(w)
-    if cached is None:
-        cached = gb._reduce(standard_bracket(gb.alphabet, w, gb.field))
-        gb._nf_bracket_cache[w] = cached
-    return cached
+    """``NF([w])`` for ``deg w <= bound``, where NF is multiplicative."""
+    return _shirshov_bracket(gb.alphabet, gb.field, w, gb._nf_bracket_cache, gb._reduce)
 
 
 def bracket_coordinates(f: Polynomial, gb: TruncatedGB) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
-from .poly import Polynomial, TensorElement, commutator, standard_bracket
+from .poly import Polynomial, TensorElement, _shirshov_bracket, commutator
 from .rewrite import (
     IrreducibleData,
     OutOfCertifiedRange,
@@ -340,13 +340,11 @@ def render_pbw_value(terms, field) -> str:
 
 def _reducible_lyndon_coordinates(gb: TruncatedGB):
     """Each reducible Lyndon word ``v`` up to the bound, glex ascending, with
-    its bracket ``[v]`` and the bracket coordinates of ``[v] + I``."""
-    alphabet, field = gb.alphabet, gb.field
+    the bracket coordinates of ``[v] + I``."""
     irreducible = set(irreducible_lyndon_words(gb, gb.bound))
-    for v in enumerate_lyndon(alphabet, gb.bound):
+    for v in enumerate_lyndon(gb.alphabet, gb.bound):
         if v not in irreducible:
-            bv = standard_bracket(alphabet, v, field)
-            yield v, bv, bracket_coordinates(bv, gb)
+            yield v, bracket_coordinates(_nf_bracket(gb, v), gb)
 
 
 def recover_lie_generators(presentation: Presentation, report: StructureReport | None = None):
@@ -368,10 +366,12 @@ def recover_lie_generators(presentation: Presentation, report: StructureReport |
     if not stab.ok:
         raise ValueError("Lie-generator recovery refused: ideal is not a coideal")
     alphabet, field = presentation.alphabet, presentation.field
+    memo = {}   # free-algebra brackets, shared by every v
     out = []
-    for v, g, coords in _reducible_lyndon_coordinates(gb):
+    for v, coords in _reducible_lyndon_coordinates(gb):
+        g = _shirshov_bracket(alphabet, field, v, memo)
         for w, c in coords.items():
-            g = g - standard_bracket(alphabet, w, field).scale(c)
+            g = g - _shirshov_bracket(alphabet, field, w, memo).scale(c)
         out.append((v, g, all(map(is_lyndon, coords))))
     return out
 
@@ -386,7 +386,7 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
                             [f"failing hypothesis: {failing.name}"] + failing.details)]
 
     details1 = []
-    for v, _bv, coords in _reducible_lyndon_coordinates(gb):
+    for v, coords in _reducible_lyndon_coordinates(gb):
         for w in coords:
             if not factors_below(w, v):
                 details1.append(

@@ -45,7 +45,6 @@ class Alphabet:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.size = len(self.names)
         self._degree_of = self.degrees.__getitem__
-        self._bracket_cache = {}
         self._coproduct_cache = {}
 
     def __eq__(self, other):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and separate from the library code
 paths it checks: rotation-based Lyndon recognition, exhaustive factorization
-search, dense Fraction Gaussian elimination, partition counting, necklace
-counts and the Dynkin projection.
+search, the standard bracketing from its definition, dense Fraction Gaussian
+elimination, partition counting, necklace counts and the Dynkin projection.
 """
 
 from fractions import Fraction
@@ -152,6 +152,35 @@ def unresolved_compositions(degrees, elements, bound, p=None):
                 if reference_reduce(degrees, elements, composition, p):
                     failures.append((l1, l2, f_right, g_left, g_right))
     return failures
+
+
+def reference_bracket(w, p=None):
+    """The standard bracketing ``[w]`` from its definition, as a mapping
+    word -> integer (or residue mod ``p``) with no zero values: ``[1] = 1``
+    and ``[x] = x``; a Lyndon word ``w = uv``, with ``v`` its longest proper
+    Lyndon suffix, gives ``[u][v] - [v][u]``; any other word gives
+    ``[l][rest]``, with ``l`` its longest Lyndon prefix (its first Lyndon
+    factor)."""
+    def times(f, g):
+        out = {}
+        for u, a in f.items():
+            for v, b in g.items():
+                out[u + v] = out.get(u + v, 0) + a * b
+        return out
+
+    if len(w) <= 1:
+        value = {tuple(w): 1}
+    elif brute_is_lyndon(w):
+        cut = min(i for i in range(1, len(w)) if brute_is_lyndon(w[i:]))
+        left, right = reference_bracket(w[:cut]), reference_bracket(w[cut:])
+        value = times(left, right)
+        for u, c in times(right, left).items():
+            value[u] = value.get(u, 0) - c
+    else:
+        cut = max(i for i in range(1, len(w)) if brute_is_lyndon(w[:i]))
+        value = times(reference_bracket(w[:cut]), reference_bracket(w[cut:]))
+    value = {u: c % p if p else c for u, c in value.items()}
+    return {u: c for u, c in value.items() if c}
 
 
 def brute_factorizations(u, lyndon_words=None):

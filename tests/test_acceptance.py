@@ -39,6 +39,7 @@ from helpers import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
 
 
 def _report(number, name, ok, elapsed, budget):
@@ -288,3 +289,11 @@ def test_criterion_8_determinism(tmp_path):
         ok &= text1.encode("utf-8") == text2.encode("utf-8")
         ok &= out1.read_bytes() == out2.read_bytes()
     _report(8, "determinism", ok, time.monotonic() - start, 60)
+
+
+def test_criterion_9_serre_b2_quasi_lie_at_file_bound():
+    start = time.monotonic()
+    code, report, _ = run(["quasi-lie", str(PRESENTATIONS / "serre_b2.json")])
+    ok = code == 0 and report["bound"] == 16
+    ok &= len(report["verdicts"]) == 3 and all(v["pass"] for v in report["verdicts"])
+    _report(9, "Serre-B2 quasi-primitivity at its file bound", ok, time.monotonic() - start, 5)

@@ -1,6 +1,7 @@
 """Expression round-trips, file validation, subcommands, exit codes, reports."""
 
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hopfpbw import (
     Alphabet,
     ExpressionError,
+    Polynomial,
     PrimeField,
     QQ,
     parse_polynomial,
@@ -328,6 +330,27 @@ def test_lyndon_subcommands():
     assert report["bracket"] == "x2*x1 - x1*x2"
     code, _report, _text = run(["lyndon", "check", "x9", "--gens", "x1,x2"])
     assert code == 2
+
+
+def test_lyndon_bracket_refuses_a_large_bracket_before_building_it(capsys):
+    # a random 26-letter Lyndon word: its bracket once took minutes and gigabytes
+    word = "x3 x3 x3 x2 x3 x2 x1 x1 x2 x3 x2 x1 x1 x2 x1 x1 x2 x1 x3 x1 x2 x2 x3 x2 x1 x2"
+    start = time.monotonic()
+    code, report, _text = run(["lyndon", "bracket", word, "--gens", "x1,x2:2,x3:3"])
+    assert time.monotonic() - start < 1
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lyndon_bracket_keeps_long_words_with_few_rearrangements():
+    # x2 x1^29 has 29 Lyndon nodes but only 30 rearrangements:
+    # [x2 x1^29] = sum_k (-1)^k C(29, k) x1^k x2 x1^(29-k)
+    alphabet = Alphabet([("x1", 1), ("x2", 2), ("x3", 3)])
+    code, report, _text = run(["lyndon", "bracket", "x2" + " x1" * 29, "--gens", "x1,x2:2,x3:3"])
+    assert code == 0
+    expected = Polynomial(alphabet, QQ, {
+        (0,) * k + (1,) + (0,) * (29 - k): (-1) ** k * math.comb(29, k) for k in range(30)})
+    assert parse_polynomial(report["bracket"], alphabet, QQ) == expected
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -127,7 +127,8 @@ def test_lyndon_coordinate_criterion_on_unstable_ideals():
                 for _ in range(rng.randint(1, 2))]
         gb = compute_truncated_gb(abc, QQ, rels, 6)
         unstable += not check_stability(comul, gb).ok
-        for _v, g, coords in _reducible_lyndon_coordinates(gb):
+        for v, coords in _reducible_lyndon_coordinates(gb):
+            g = standard_bracket(abc, v, QQ)
             for w, c in coords.items():
                 g = g - standard_bracket(abc, w, QQ).scale(c)
             criterion = all(map(is_lyndon, coords))

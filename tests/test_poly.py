@@ -27,7 +27,7 @@ from hopfpbw import (
 from hopfpbw.poly import binomial
 from hopfpbw.word import GREATER, LESS, compare_lex
 
-from helpers import all_words, graded_words
+from helpers import all_words, graded_words, reference_bracket
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
 AB3 = Alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
@@ -164,6 +164,15 @@ def test_bracket_monomial_agrees_with_bracket_everywhere():
     mixed = Alphabet([("a", 1), ("b", 2), ("c", 3)])
     for w in graded_words(mixed.degrees, 7):
         assert bracket_monomial(mixed, w) == standard_bracket(mixed, w)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=repr)
+def test_brackets_match_their_definition(field):
+    mixed = Alphabet([("c", 3), ("a", 1), ("b", 2)])
+    for w in graded_words(mixed.degrees, 7):
+        expected = reference_bracket(w, field.char or None)
+        assert dict(standard_bracket(mixed, w, field).coeffs) == expected
+        assert dict(bracket_monomial(mixed, w, field).coeffs) == expected
 
 
 def test_leading_word_examples():

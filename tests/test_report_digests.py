@@ -18,7 +18,7 @@ FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 
 COMMANDS = (["verify"], ["quasi-lie"], ["ihoe"], ["hilbert"], ["heights"],
-            ["basis", "--degree", "3"])
+            ["basis", "--degree", "3"], ["lie-gens"], ["hopf-check"], ["gb"])
 FLAG_SETS = (["--bound", "5"], ["--bound", "5", "--field", "Fp:7"])
 
 

@@ -27,14 +27,16 @@ from hopfpbw import (
 )
 from hopfpbw.poly import TensorElement
 from hopfpbw.cli import parse_presentation
-from hopfpbw.rewrite import OutOfCertifiedRange, TruncatedGB, _eliminate
+from hopfpbw.rewrite import OutOfCertifiedRange, TruncatedGB, _eliminate, _nf_bracket
 from hopfpbw.word import words_of_degree
 
 from helpers import (
     brute_irreducible_counts,
     brute_irreducible_lyndon,
     echelon_rank,
+    graded_words,
     ideal_dimension_oracle,
+    reference_bracket,
     reference_reduce,
     unresolved_compositions,
 )
@@ -443,6 +445,36 @@ def test_reduce_matches_reference_on_corpus(name, checked_reduce):
         for f in [rel] + [x * rel + rel * x for x in letters]:
             if f.degree() <= gb.bound:
                 assert gb._reduce(f).is_zero()
+
+
+def _assert_nf_brackets_match_reference(gb):
+    """``_nf_bracket`` of every word, Lyndon or not, up to the bound is the
+    reference normal form of the bracket built from its definition."""
+    p = gb.field.char or None
+    elements = [g.coeffs for g in gb.elements]
+    for w in graded_words(gb.alphabet.degrees, gb.bound):
+        expected = reference_reduce(gb.alphabet.degrees, elements, reference_bracket(w, p), p)
+        assert list(_nf_bracket(gb, w).coeffs.items()) == list(expected.items()), w
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@pytest.mark.parametrize("path", [FIXTURES / name for name in CORPUS]
+                         + [PRESENTATIONS / "serre_a2.json", PRESENTATIONS / "serre_b2.json"],
+                         ids=lambda path: path.name)
+def test_nf_bracket_matches_reference(path, field):
+    alphabet, field, relations, _images, _digest, bound = parse_presentation(str(path), field)
+    _assert_nf_brackets_match_reference(
+        compute_truncated_gb(alphabet, field, relations, min(bound, 7)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_nf_bracket_reduces_letters(field):
+    # x2 - x1 makes the letter x2 reducible, so NF([x2]) = x1.
+    relations = [parse_polynomial(src, HEIS, field)
+                 for src in ("x2 - x1", "x3*x1 - x1*x3 - x1^3")]
+    gb = compute_truncated_gb(HEIS, field, relations, 6)
+    assert _nf_bracket(gb, HEIS.word("x2")) == Polynomial.generator(HEIS, field, "x1")
+    _assert_nf_brackets_match_reference(gb)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
