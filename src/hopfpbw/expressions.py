@@ -27,6 +27,7 @@ class ExpressionError(ValueError):
 
 
 _SYMBOLS = set("+-*/^#()")
+_DIGITS = set("0123456789")   # str.isdigit also holds for '²' and '٣'
 
 
 def tokenize(src: str):
@@ -53,9 +54,9 @@ def tokenize(src: str):
             tokens.append(("name", src[i:j], line, start_col))
             col += j - i
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(src[i:j]), line, start_col))
             col += j - i

@@ -317,36 +317,11 @@ def bracket_term_bound(w: Word) -> int:
 # -- standard comultiplication ---------------------------------------------
 
 
-def _coproduct_int(alphabet: Alphabet, w: Word) -> dict:
-    """Integer coefficients of the standard coproduct of a word, cached."""
-    cache = alphabet._coproduct_cache
-    got = cache.get(w)
-    if got is not None:
-        return got
-    value = {((), ()): 1}
-    for letter in w:
-        nxt = {}
-        for (a, b), c in value.items():
-            ka = (a + (letter,), b)
-            kb = (a, b + (letter,))
-            nxt[ka] = nxt.get(ka, 0) + c
-            nxt[kb] = nxt.get(kb, 0) + c
-        value = nxt
-    cache[w] = value
-    return value
-
-
 def standard_comultiplication(f: Polynomial) -> TensorElement:
     """The algebra map sending every letter to ``1 (x) x + x (x) 1``."""
-    alphabet, field = f.alphabet, f.field
-    add, mul, zero, of = field.add, field.mul, field.zero, field.of_int
-    out = {}
-    for w, c in f.coeffs.items():
-        for p, n in _coproduct_int(alphabet, w).items():
-            v = mul(c, of(n))
-            if v != zero:
-                out[p] = add(out.get(p, zero), v)
-    return TensorElement(alphabet, field, out)
+    from .coalg import Comultiplication
+
+    return Comultiplication.standard(f.alphabet, f.field).of_poly(f)
 
 
 def binomial(field, n: int, k: int):

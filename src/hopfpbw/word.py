@@ -45,7 +45,6 @@ class Alphabet:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.size = len(self.names)
         self._degree_of = self.degrees.__getitem__
-        self._coproduct_cache = {}
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.declaration == other.declaration
@@ -134,14 +133,12 @@ def is_lyndon(u: Word) -> bool:
 
 
 def shirshov_factorization(u: Word) -> tuple[Word, Word]:
-    """Split ``u`` before its lexicographically largest proper suffix."""
+    """Split ``u`` before its lexicographically largest proper suffix, which
+    is the last Lyndon factor of ``u[1:]``: one Duval scan, O(len(u))."""
     if len(u) < 2:
         raise ValueError("Shirshov factorization needs a word of length >= 2")
-    best = 1
-    for i in range(2, len(u)):
-        if compare_lex(u[i:], u[best:]) == GREATER:
-            best = i
-    return u[:best], u[best:]
+    right = lyndon_decomposition(u[1:])[-1]
+    return u[:len(u) - len(right)], right
 
 
 def lyndon_decomposition(u: Word) -> list[Word]:

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately naive and separate from the library code
-paths it checks: rotation-based Lyndon recognition, exhaustive factorization
-search, the standard bracketing from its definition, dense Fraction Gaussian
-elimination, partition counting, necklace counts and the Dynkin projection.
+paths it checks: rotation-based Lyndon recognition, the Shirshov split by
+comparing every suffix, exhaustive factorization search, the standard
+bracketing and the standard coproduct from their definitions, the coalgebra
+laws expanded on plain dicts, dense Fraction Gaussian elimination, partition
+counting, necklace counts and the Dynkin projection.
 """
 
 from fractions import Fraction
@@ -26,6 +28,16 @@ def brute_is_lyndon(u):
         if compare_lex(u, u[i:] + u[:i]) != GREATER:
             return False
     return True
+
+
+def reference_shirshov_split(u):
+    """``u`` split before its lex-largest proper suffix, found by comparing
+    each proper suffix with the largest one so far (quadratic)."""
+    best = 1
+    for i in range(2, len(u)):
+        if compare_lex(u[i:], u[best:]) == GREATER:
+            best = i
+    return u[:best], u[best:]
 
 
 def graded_words(degrees, max_degree):
@@ -181,6 +193,93 @@ def reference_bracket(w, p=None):
         value = times(reference_bracket(w[:cut]), reference_bracket(w[cut:]))
     value = {u: c % p if p else c for u, c in value.items()}
     return {u: c for u, c in value.items() if c}
+
+
+def reference_coproduct(w, p=None):
+    """The standard coproduct of the word ``w`` from its definition, the sum
+    over the subsets S of positions of ``w|S (x) w|(positions not in S)``: a
+    mapping of word pairs to integers (or residues mod ``p``) with no zero
+    values."""
+    out = {}
+    for picks in product((True, False), repeat=len(w)):
+        left = tuple(x for x, pick in zip(w, picks) if pick)
+        right = tuple(x for x, pick in zip(w, picks) if not pick)
+        out[(left, right)] = out.get((left, right), 0) + 1
+    out = {pair: c % p if p else c for pair, c in out.items()}
+    return {pair: c for pair, c in out.items() if c}
+
+
+def reference_coassoc_counit(degrees, elements, images, bound, p=None):
+    """Where the counit and coassociativity laws fail in the quotient, from
+    their definitions on plain dicts.
+
+    ``images`` maps each letter to its coproduct, a mapping of word pairs to
+    integers; ``elements`` are the monic Groebner basis elements.  Each word
+    of degree <= ``bound`` that contains no leading word is checked: both
+    sides of each law are expanded from the images, and every tensor leg is
+    reduced with ``reference_reduce``, over Q or mod ``p``.  Returns the
+    failures as ``(w, law)`` pairs, ``law`` one of "eps (x) id",
+    "id (x) eps" and "coassociativity".
+    """
+    pad = len(degrees)
+    leading = [max(g, key=lambda w: (sum(degrees[i] for i in w), *w, pad)) for g in elements]
+    normal_forms, coproducts = {}, {}
+
+    def nf(w):
+        if w not in normal_forms:
+            reduced_w = reference_reduce(degrees, elements, {w: 1}, p)
+            # integral rationals as int, so that products stay cheap
+            normal_forms[w] = {u: int(x) if int(x) == x else x for u, x in reduced_w.items()}
+        return normal_forms[w]
+
+    def coproduct(w):
+        if w not in coproducts:
+            out = {((), ()): 1}
+            for x in w:
+                step = {}
+                for (a, b), c in out.items():
+                    for (u, v), d in images[x].items():
+                        step[(a + u, b + v)] = step.get((a + u, b + v), 0) + c * d
+                out = step
+            coproducts[w] = out
+        return coproducts[w]
+
+    def reduced(terms):
+        """Leg-wise normal form of a mapping of word tuples to scalars."""
+        out = {}
+        for legs, c in terms.items():
+            for picks in product(*(nf(leg).items() for leg in legs)):
+                value = c
+                for _u, x in picks:
+                    value *= x
+                key = tuple(u for u, _x in picks)
+                out[key] = out.get(key, 0) + value
+        out = {key: int(c) % p if p else Fraction(c) for key, c in out.items()}
+        return {key: c for key, c in out.items() if c}
+
+    failures = []
+    for w in graded_words(degrees, bound):
+        if any(w[i:i + len(lw)] == lw for lw in leading for i in range(len(w) - len(lw) + 1)):
+            continue
+        dw = coproduct(w)
+        for law, empty_leg in (("eps (x) id", 0), ("id (x) eps", 1)):
+            side = {}
+            for pair, c in dw.items():
+                if not pair[empty_leg]:
+                    leg = (pair[1 - empty_leg],)
+                    side[leg] = side.get(leg, 0) + c
+            if reduced(side) != reduced({(w,): 1}):
+                failures.append((w, law))
+        # (Delta (x) id) Delta(w) - (id (x) Delta) Delta(w), then its legs reduced
+        difference = {}
+        for (a, b), c in dw.items():
+            for (u, v), x in coproduct(a).items():
+                difference[(u, v, b)] = difference.get((u, v, b), 0) + c * x
+            for (u, v), x in coproduct(b).items():
+                difference[(a, u, v)] = difference.get((a, u, v), 0) - c * x
+        if reduced({legs: c for legs, c in difference.items() if c}):
+            failures.append((w, "coassociativity"))
+    return failures
 
 
 def brute_factorizations(u, lyndon_words=None):

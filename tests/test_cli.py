@@ -158,6 +158,29 @@ def test_presentation_file_errors(tmp_path):
     assert code == 2
 
 
+_X_FILE = {"field": "Q", "generators": [{"name": "x", "degree": 1}], "degree_bound": 3}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"generators": [{"name": 5, "degree": 1}]}, "generator 1: name must be a nonempty string"),
+    ({"generators": [{"name": "", "degree": 1}]}, "generator 1: name must be a nonempty string"),
+    ({"relations": [5]}, "'relations' must be a list of strings"),
+    ({"relations": {"a": "x"}}, "'relations' must be a list of strings"),
+    ({"comultiplication": {"x": 7}}, "comultiplication of 'x' must be a string"),
+    ({"comultiplication": []}, "'comultiplication' must be an object"),
+    ({"relations": ["x*x - \u00b2*x*x"]}, "unexpected character '\u00b2'"),
+    ({"relations": ["x^\u0663"]}, "unexpected character '\u0663'"),
+], ids=["name-int", "name-empty", "relation-int", "relations-object", "image-int", "images-list",
+        "superscript-digit", "arabic-indic-digit"])
+def test_malformed_presentation_values_are_input_errors(tmp_path, capsys, change, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({**_X_FILE, **change}))
+    code, report, text = run(["verify", str(path)])
+    assert (code, report, text) == (2, None, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err, err
+
+
 def test_inhomogeneous_error_names_degrees(tmp_path, capsys):
     inhomog = tmp_path / "inhomog.json"
     inhomog.write_text(json.dumps({
@@ -350,6 +373,25 @@ def test_lyndon_bracket_keeps_long_words_with_few_rearrangements():
     assert code == 0
     expected = Polynomial(alphabet, QQ, {
         (0,) * k + (1,) + (0,) * (29 - k): (-1) ** k * math.comb(29, k) for k in range(30)})
+    assert parse_polynomial(report["bracket"], alphabet, QQ) == expected
+
+
+def test_lyndon_bracket_refuses_a_long_word_at_once(capsys):
+    # x2 x1^999 passes the term bound (1000 terms), but its recursion is 1000 deep
+    start = time.monotonic()
+    code, report, _text = run(["lyndon", "bracket", "x2" + " x1" * 999, "--gens", "x1,x2:2,x3:3"])
+    assert time.monotonic() - start < 1
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == "error: word has more than 200 letters; refused\n"
+
+
+def test_lyndon_bracket_keeps_a_hundred_letter_word():
+    # [x2 x1^99] = sum_k (-1)^k C(99, k) x1^k x2 x1^(99-k)
+    alphabet = Alphabet([("x1", 1), ("x2", 2), ("x3", 3)])
+    code, report, _text = run(["lyndon", "bracket", "x2" + " x1" * 99, "--gens", "x1,x2:2,x3:3"])
+    assert code == 0
+    expected = Polynomial(alphabet, QQ, {
+        (0,) * k + (1,) + (0,) * (99 - k): (-1) ** k * math.comb(99, k) for k in range(100)})
     assert parse_polynomial(report["bracket"], alphabet, QQ) == expected
 
 

@@ -1,9 +1,10 @@
 """Any presentation file and argv end with exit 0, 1 or 2 and a message,
 never a traceback: the fixtures under varied field and bound run under varied
 command lines, most of them valid and the rest with one change (mutated
-relation or coproduct strings, a bad degree, field, bound or option, or all
-generator degrees drawn afresh).  Every generated bound, degree and exponent
-is at most 4, so each run is small."""
+relation or coproduct strings, a bad degree, field, bound or option, one JSON
+value replaced by a value of another JSON type, or all generator degrees drawn
+afresh).  Every generated bound, degree and exponent is at most 4, so each
+run is small."""
 
 import contextlib
 import io
@@ -19,7 +20,7 @@ FIXTURES = {p.name: json.loads(p.read_text(encoding="utf-8"))
             for p in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))}
 
 _FAULTS = ("relation", "image", "degree", "file field", "file bound", "no bound",
-           "argv field", "argv bound", "option", "regrade")
+           "argv field", "argv bound", "option", "regrade", "json type")
 _TOKEN = re.compile(r"\w+|\S")
 _POOL = ("1", "2", "3", "4", "0", "-", "+", "*", "/", "^", "#", "(", ")", "q9", "1/2", "1#1")
 _COMMANDS = ("verify", "quasi-lie", "gb", "basis", "hilbert", "hopf-check", "ihoe",
@@ -27,6 +28,12 @@ _COMMANDS = ("verify", "quasi-lie", "gb", "basis", "hilbert", "hopf-check", "iho
 _FILE_FIELDS = ("Q", {"Fp": 2}, {"Fp": 3}, {"Fp": 7}, "Fp:5")
 _ARGV_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:7")
 _ODD = ("2", 1.5, True, None, [], {}, 0, -1)
+_JSON_VALUES = ("x", 3, 1.5, True, None, [], {}, ["x"], {"x": "x"})
+
+
+def _json_type(value):
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            list: "array", dict: "object"}.get(type(value), "null")
 
 
 @st.composite
@@ -53,7 +60,8 @@ def mutated(draw, text, names):
 @st.composite
 def cases(draw, path, json_path):
     """A presentation and an argv, valid or with one change of ``_FAULTS``."""
-    fault = draw(st.sampled_from(("none",) * 12 + _FAULTS))
+    # the JSON-type fault has the most targets, so it is drawn three times as often
+    fault = draw(st.sampled_from(("none",) * 12 + _FAULTS + ("json type",) * 2))
     base = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]
     names = [g["name"] for g in base["generators"]]
     relations = list(base.get("relations", []))
@@ -97,6 +105,14 @@ def cases(draw, path, json_path):
         argv.append(draw(st.sampled_from(("--bogus", "--bound=x", "--kind=D", "--degree=-1"))))
     elif draw(st.booleans()):
         argv += draw(st.sampled_from((["--quiet"], ["--json", str(json_path)])))
+    if fault == "json type":
+        slots = [(pres, key) for key in pres]
+        slots += [(g, key) for g in pres["generators"] for key in g]
+        slots += [(relations, i) for i in range(len(relations))]
+        slots += [(images, name) for name in images]
+        container, key = draw(st.sampled_from(slots))
+        kind = _json_type(container[key])
+        container[key] = draw(st.sampled_from([v for v in _JSON_VALUES if _json_type(v) != kind]))
     return pres, argv
 
 

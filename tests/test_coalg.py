@@ -29,7 +29,13 @@ from hopfpbw import (
     standard_comultiplication,
 )
 
-from helpers import all_words, is_lie_by_dynkin
+from helpers import (
+    all_words,
+    graded_words,
+    is_lie_by_dynkin,
+    reference_coassoc_counit,
+    reference_coproduct,
+)
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
 PAIR = Alphabet([("x", 1), ("y", 2)])
@@ -44,6 +50,15 @@ def pair_gb(field=QQ, bound=6):
     return compute_truncated_gb(PAIR, field, [rel], bound)
 
 
+def reference_comultiplication(f):
+    """The standard coproduct of ``f``, term by term from ``reference_coproduct``."""
+    out = {}
+    for w, c in f.coeffs.items():
+        for pair, n in reference_coproduct(w).items():
+            out[pair] = out.get(pair, 0) + c * n
+    return TensorElement(f.alphabet, f.field, out)
+
+
 def test_extension_agrees_with_standard_on_primitives():
     comul = Comultiplication.standard(AB2, QQ)
     rng = random.Random(2)
@@ -51,7 +66,18 @@ def test_extension_agrees_with_standard_on_primitives():
     for _ in range(25):
         f = Polynomial(AB2, QQ, {rng.choice(words): Fraction(rng.randint(-3, 3))
                                  for _ in range(3)})
-        assert comul.of_poly(f) == standard_comultiplication(f)
+        assert comul.of_poly(f) == reference_comultiplication(f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=repr)
+def test_standard_coproduct_matches_the_subset_oracle(field):
+    alphabet = Alphabet([("x1", 1), ("x2", 1), ("x3", 2)])
+    comul = Comultiplication.standard(alphabet, field)
+    for w in graded_words(alphabet.degrees, 7):
+        expected = reference_coproduct(w, field.char or None)
+        assert comul.of_word(w).coeffs == expected, w
+        f = Polynomial.from_word(alphabet, field, w)
+        assert standard_comultiplication(f).coeffs == expected, w
 
 
 def test_extension_examples():
@@ -185,6 +211,62 @@ def test_noncoassociative_triangular_detected():
         three, QQ, {"c": parse_tensor("1#c + c#1 + a#c", three, QQ)})
     rep = check_triangular(twisted)
     assert not rep.ok  # c not below c
+
+
+ABC = Alphabet([("a", 1), ("b", 1), ("c", 2)])
+_ABC_RELATIONS = {
+    "none": [],
+    "commuting": ["b*a - a*b", "c*a - a*c", "c*b - b*c"],
+    "heisenberg": ["b*a - a*b - c", "c*a - a*c", "c*b - b*c"],
+    "square": ["a*a"],
+}
+# Degree-2 terms that keep the image of c coassociative when a and b are
+# primitive, and terms of degree <= deg x that may break a law for x.
+_SAFE_C_TERMS = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
+_FAULT_TERMS = {
+    0: [((), (0,)), ((0,), ()), ((), (1,)), ((1,), ())],
+    1: [((), (1,)), ((1,), ()), ((), (0,)), ((0,), ())],
+    2: [((), (2,)), ((2,), ()), ((), (0, 0)), ((0, 1), ()), ((0,), ()), ((), (1,)),
+    ],
+}
+
+
+def _seeded_images(rng):
+    """Generator images over ABC as integer mappings: c gets random safe
+    terms, and about half the cases add one term that may break a law."""
+    images = {x: {((), (x,)): 1, ((x,), ()): 1} for x in range(3)}
+    for pair in rng.sample(_SAFE_C_TERMS, rng.randint(0, 2)):
+        images[2][pair] = rng.choice((1, 2, -1))
+    if rng.random() < 0.6:
+        x = rng.randrange(3)
+        pair = rng.choice(_FAULT_TERMS[x])
+        images[x][pair] = images[x].get(pair, 0) + rng.choice((1, 2, -1))
+    return images
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
+def test_coassoc_counit_matches_the_oracle(field):
+    bound, p, verdicts = 5, field.char or None, []
+    for label, sources in _ABC_RELATIONS.items():
+        gb = compute_truncated_gb(
+            ABC, field, [parse_polynomial(r, ABC, field) for r in sources], bound)
+        elements = [g.coeffs for g in gb.elements]
+        for seed in range(8):
+            images = _seeded_images(random.Random(f"{field!r} {label} {seed}"))
+            comul = Comultiplication(ABC, field, {
+                x: TensorElement(ABC, field, {pair: field.of_int(c) for pair, c in image.items()})
+                for x, image in images.items()})
+            expected = []
+            for w, law in reference_coassoc_counit(ABC.degrees, elements, images, bound, p):
+                word = " ".join(ABC.names[i] for i in w) or "1"
+                expected.append(f"coassociativity fails on {word}" if law == "coassociativity"
+                                else f"counit fails on {word} via {law}")
+            report = check_coassoc_counit(comul, gb, bound)
+            assert sorted(report.details) == sorted(expected), (label, seed)
+            assert report.ok == (not expected)
+            verdicts.append(report.ok)
+    # both verdicts are well represented
+    assert 8 <= verdicts.count(False) <= 24, verdicts
 
 
 def test_is_lie_polynomial():

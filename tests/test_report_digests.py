@@ -1,6 +1,7 @@
-"""Reports stay byte-identical: a corpus of CLI runs on the fixtures, each
-reduced to the SHA-256 of its exit code, JSON report and text report, is
-compared with the digests in ``report_digests.json``.
+"""Reports stay byte-identical: a corpus of CLI runs on the fixtures, and of
+``lyndon`` queries on a fixed list of words, each reduced to the SHA-256 of
+its exit code, JSON report and text report, is compared with the digests in
+``report_digests.json``.
 
 A change that is meant to alter a report re-records the file with
 ``PYTHONPATH=src python tests/test_report_digests.py`` and says why.
@@ -20,6 +21,11 @@ DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = (["verify"], ["quasi-lie"], ["ihoe"], ["hilbert"], ["heights"],
             ["basis", "--degree", "3"], ["lie-gens"], ["hopf-check"], ["gb"])
 FLAG_SETS = (["--bound", "5"], ["--bound", "5", "--field", "Fp:7"])
+LYNDON_ACTIONS = ("decompose", "check", "bracket")
+LYNDON_GENS = "x1,x2:2,x3:3"
+LYNDON_WORDS = ("x1", "x3", "x2 x1", "x1 x2", "x3 x1 x2", "x2 x1 x2 x1 x1",
+                "x3 x2 x1 x2 x1", "x2 x2 x1 x2 x1 x1", "x3 x1 x3 x1 x1 x2",
+                "x3 x3 x2 x1 x1 x3 x2 x1", "x2" + " x1" * 29)
 
 
 def _corpus():
@@ -28,6 +34,10 @@ def _corpus():
             for flags in FLAG_SETS:
                 yield " ".join([command[0], path.name, *command[1:], *flags]), \
                     [command[0], str(path), *command[1:], *flags]
+    for action in LYNDON_ACTIONS:
+        for word in LYNDON_WORDS:
+            argv = ["lyndon", action, word, "--gens", LYNDON_GENS]
+            yield " ".join(argv), argv
 
 
 def _digest(argv, json_path) -> str:

@@ -22,6 +22,7 @@ from helpers import (
     brute_lyndon_counts,
     graded_words,
     necklace_count,
+    reference_shirshov_split,
 )
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
@@ -110,6 +111,13 @@ def test_shirshov_examples():
     assert shirshov_factorization((X2, X1, X1)) == ((X2, X1), (X1,))
     with pytest.raises(ValueError):
         shirshov_factorization((X1,))
+
+
+def test_shirshov_factorization_matches_the_quadratic_scan():
+    # letters x1:1, x2:1, x3:2 are indices 0, 1, 2; the split ignores degrees
+    for u in all_words(3, 8):
+        if len(u) >= 2:
+            assert shirshov_factorization(u) == reference_shirshov_split(u), u
 
 
 def test_L3_shirshov_parts():
