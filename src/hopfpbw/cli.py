@@ -32,6 +32,7 @@ from .poly import Polynomial, bracket_term_bound, standard_bracket
 from .rewrite import OutOfCertifiedRange, RelationError, WholeAlgebraIdeal, admissible_words
 from .structure import (
     Presentation,
+    _pbw_data,
     compute_heights,
     extract_ihoe,
     hilbert_and_gk,
@@ -203,12 +204,13 @@ def _new_report(command, bound, digest, field) -> dict:
     }
 
 
-def _add_verdict(report, check: CheckReport):
-    report["verdicts"].append({
-        "name": check.name,
-        "pass": bool(check.ok),
-        "detail": "; ".join(check.details),
-    })
+def _add_verdict(report, *checks: CheckReport):
+    for check in checks:
+        report["verdicts"].append({
+            "name": check.name,
+            "pass": bool(check.ok),
+            "detail": "; ".join(check.details),
+        })
 
 
 def _gamma_json(alphabet, gamma):
@@ -262,41 +264,28 @@ def _render_text(report) -> str:
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_verify(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("verify", pres.bound, digest, _field_name(pres.field))
+def _cmd_verify(args, pres, report):
     result = verify_structure_theorem(pres)
-    for check in result.verdicts():
-        _add_verdict(report, check)
+    _add_verdict(report, *result.verdicts())
     if result.hypotheses_ok:
         report["gamma"] = _gamma_json(pres.alphabet, result.gamma)
         report["hilbert"] = list(result.dims)
         report["finiteness"] = result.finiteness
-    return report
 
 
-def _cmd_quasi_lie(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("quasi-lie", pres.bound, digest, _field_name(pres.field))
-    for check in verify_quasi_lie(pres):
-        _add_verdict(report, check)
-    return report
+def _cmd_quasi_lie(args, pres, report):
+    _add_verdict(report, *verify_quasi_lie(pres))
 
 
-def _cmd_gb(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("gb", pres.bound, digest, _field_name(pres.field))
+def _cmd_gb(args, pres, report):
     gb = pres.groebner()
     report["elements"] = [render_polynomial(g) for g in gb.elements]
     _add_verdict(report, CheckReport(
         f"groebner basis complete to degree {pres.bound}", True,
         [f"{len(gb.elements)} elements"]))
-    return report
 
 
-def _cmd_basis(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("basis", pres.bound, digest, _field_name(pres.field))
+def _cmd_basis(args, pres, report):
     if args.degree is None:
         raise InputError("--degree is required")
     if args.degree < 0 or args.degree > pres.bound:
@@ -306,68 +295,52 @@ def _cmd_basis(args):
     report["words"] = [render_word(pres.alphabet, w) for w in words]
     _add_verdict(report, CheckReport(
         f"{args.kind} words of degree {args.degree}", True, [f"{len(words)} words"]))
-    return report
 
 
-def _cmd_hilbert(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("hilbert", pres.bound, digest, _field_name(pres.field))
-    result = verify_structure_theorem(pres)
+def _cmd_hilbert(args, pres, report):
+    result, _comul = _pbw_data(pres)
     if not result.hypotheses_ok:
-        for check in result.verdicts():
-            _add_verdict(report, check)
-        return report
+        _add_verdict(report, *result.verdicts())
+        return
     coeffs, identity, gk = hilbert_and_gk(result)
     report["gamma"] = _gamma_json(pres.alphabet, result.gamma)
     report["hilbert"] = coeffs
     report["finiteness"] = result.finiteness
     report["gk"] = gk["detail"]
     _add_verdict(report, identity)
-    return report
 
 
-def _cmd_hopf_check(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("hopf-check", pres.bound, digest, _field_name(pres.field))
+def _cmd_hopf_check(args, pres, report):
     comul, tri, gb, stab = pres.hypotheses()
     law = check_coassoc_counit(comul, gb, pres.bound)
-    for check in (tri, stab, law):
-        _add_verdict(report, check)
+    _add_verdict(report, tri, stab, law)
     if tri.ok and stab.ok and law.ok:
         antipode = Antipode(comul, gb, precheck=False)
-        _add_verdict(report, antipode.convolution_check(pres.bound))
-        report["antipodes"] = [
-            {"generator": name, "value": render_polynomial(antipode.of(
-                Polynomial.generator(pres.alphabet, pres.field, name)))}
-            for name in pres.alphabet.names
-        ]
+        convolution = antipode.convolution_check(pres.bound)
+        report["antipodes"] = []
+        # The laws are checked up to the bound only, so S is stated only there.
+        for name, degree in zip(pres.alphabet.names, pres.alphabet.degrees):
+            if degree > pres.bound:
+                convolution.details.append(
+                    f"note: S({name}) not reported: degree {degree} above the bound {pres.bound}")
+                continue
+            report["antipodes"].append({"generator": name, "value": render_polynomial(
+                antipode.of(Polynomial.generator(pres.alphabet, pres.field, name)))})
+        _add_verdict(report, convolution)
     else:
         reason = ("coassociativity, counit or stability failed" if not (stab.ok and law.ok)
                   else "the comultiplication is not triangular")
         _add_verdict(report, CheckReport("antipode law", False, [f"refused: {reason}"]))
-    return report
 
 
-def _cmd_ihoe(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("ihoe", pres.bound, digest, _field_name(pres.field))
+def _cmd_ihoe(args, pres, report):
     result = verify_structure_theorem(pres)
-    for check in result.verdicts():
-        _add_verdict(report, check)
-    if not result.passed:
-        _add_verdict(report, CheckReport("tower extraction", False,
-                                         ["refused: structure verification did not pass"]))
-        return report
-    if result.gk_candidate is None:
-        _add_verdict(report, CheckReport(
-            "tower extraction", False,
-            [f"refused: {result.finiteness}; not candidate-finite"]))
-        return report
+    _add_verdict(report, *result.verdicts())
     try:
         tower = extract_ihoe(pres, result)
     except (OutOfCertifiedRange, ValueError) as exc:
         _add_verdict(report, CheckReport("tower extraction", False, [str(exc)]))
-        return report
+        return
     report["gamma"] = _gamma_json(pres.alphabet, result.gamma)
     report["finiteness"] = result.finiteness
     _add_verdict(report, tower.closure)
@@ -388,12 +361,9 @@ def _cmd_ihoe(args):
             })
         levels.append(entry)
     report["tower"] = levels
-    return report
 
 
-def _cmd_lie_gens(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("lie-gens", pres.bound, digest, _field_name(pres.field))
+def _cmd_lie_gens(args, pres, report):
     if pres.field.char != 0:
         raise InputError("lie-gens requires characteristic 0")
     if not pres.comultiplication().is_standard():
@@ -402,7 +372,7 @@ def _cmd_lie_gens(args):
     stab = check_stability(pres.comultiplication(), gb)
     _add_verdict(report, stab)
     if not stab.ok:
-        return report
+        return
     entries = recover_lie_generators(pres)
     report["lie_generators"] = [
         {"word": render_word(pres.alphabet, v),
@@ -414,19 +384,15 @@ def _cmd_lie_gens(args):
     detail = (f"ideal is generated by Lie polynomials up to degree {pres.bound}"
               if all_lie else "a recovered generator is not primitive")
     _add_verdict(report, CheckReport("recovered generators are Lie polynomials", all_lie, [detail]))
-    return report
 
 
-def _cmd_heights(args):
-    pres, digest = _presentation_from_args(args)
-    report = _new_report("heights", pres.bound, digest, _field_name(pres.field))
+def _cmd_heights(args, pres, report):
     data, verdict = compute_heights(pres)
     report["heights"] = [
         {"word": render_word(pres.alphabet, u), "height": data.heights[u]}
         for u in data.lyndon
     ]
     _add_verdict(report, verdict)
-    return report
 
 
 def _parse_gens_spec(spec: str):
@@ -469,10 +435,9 @@ _MAX_BRACKET_TERMS = 2 ** 20
 _MAX_BRACKET_LETTERS = 200
 
 
-def _cmd_lyndon(args):
+def _cmd_lyndon(args, report):
     alphabet = _parse_gens_spec(args.gens)
     w = _parse_word_arg(alphabet, args.word)
-    report = _new_report(f"lyndon {args.action}", None, "", "Q")
     if args.action == "decompose":
         factors = lyndon_decomposition(w)
         report["decomposition"] = [render_word(alphabet, f) for f in factors]
@@ -491,7 +456,6 @@ def _cmd_lyndon(args):
         bracket = standard_bracket(alphabet, w, QQ)
         report["bracket"] = render_polynomial(bracket)
         _add_verdict(report, CheckReport("standard bracketing", True, []))
-    return report
 
 
 _HANDLERS = {
@@ -504,7 +468,6 @@ _HANDLERS = {
     "ihoe": _cmd_ihoe,
     "lie-gens": _cmd_lie_gens,
     "heights": _cmd_heights,
-    "lyndon": _cmd_lyndon,
 }
 
 
@@ -558,7 +521,13 @@ def run(argv):
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), None, ""
     try:
-        report = _HANDLERS[args.command](args)
+        if args.command == "lyndon":
+            report = _new_report(f"lyndon {args.action}", None, "", "Q")
+            _cmd_lyndon(args, report)
+        else:
+            pres, digest = _presentation_from_args(args)
+            report = _new_report(args.command, pres.bound, digest, _field_name(pres.field))
+            _HANDLERS[args.command](args, pres, report)
     except (InputError, ExpressionError, WholeAlgebraIdeal, OutOfCertifiedRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None, ""

@@ -18,7 +18,6 @@ from .coalg import CheckReport, Comultiplication, check_stability, check_triangu
 from .expressions import render_word
 from .poly import Polynomial, TensorElement, _shirshov_bracket, commutator
 from .rewrite import (
-    IrreducibleData,
     OutOfCertifiedRange,
     TruncatedGB,
     _nf_bracket,
@@ -83,7 +82,6 @@ class StructureReport:
     finiteness: str = ""
     gk_candidate: int | None = None
     gb: TruncatedGB | None = None
-    data: IrreducibleData | None = None
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -113,6 +111,22 @@ def _finiteness_flag(presentation: Presentation, gb: TruncatedGB, lyndon) -> str
     return f"{FINITE_AT_BOUND} {bound}"
 
 
+def _pbw_data(presentation: Presentation):
+    """``(report, comul)``: the hypotheses and, when they hold, the PBW
+    generators ``gamma``, the dimensions and the growth flag, with none of
+    conditions (1)-(3) checked."""
+    comul, tri, gb, stab = presentation.hypotheses()
+    report = StructureReport(bound=gb.bound, triangular=tri, stability=stab, gb=gb)
+    if report.hypotheses_ok:
+        report.gamma = sorted(irreducible_lyndon_words(gb, gb.bound),
+                              key=presentation.alphabet.lex_key)
+        report.dims = gb.dimensions()
+        report.finiteness = _finiteness_flag(presentation, gb, report.gamma)
+        if report.finiteness.startswith(FINITE_AT_BOUND):
+            report.gk_candidate = len(report.gamma)
+    return report, comul
+
+
 def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     """Certify the PBW-generator conditions up to the bound.
 
@@ -123,26 +137,19 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     (over a prime field the exponent-bounded family is counted instead).
     """
     alphabet, field = presentation.alphabet, presentation.field
-    comul, tri, gb, stab = presentation.hypotheses()
-    report = StructureReport(bound=gb.bound, triangular=tri, stability=stab, gb=gb)
-    if not (tri.ok and stab.ok):
+    report, comul = _pbw_data(presentation)
+    if not report.hypotheses_ok:
         return report
-
-    data = collect_irreducible_data(gb)
-    gamma = sorted(data.lyndon, key=alphabet.lex_key)
-    z_table = {u: _nf_bracket(gb, u) for u in gamma}
-    report.data = data
-    report.gamma = gamma
-    report.z_table = z_table
+    gb, gamma = report.gb, report.gamma
+    report.z_table = {u: _nf_bracket(gb, u) for u in gamma}
     report.commutators = _commutator_coordinates(gb, gamma)
-    report.dims = data.dimensions
 
     # Condition (1): coproduct membership per generator.  Delta(z_u) has the
     # coordinates of Delta([u]): [u] - z_u lies in the stable ideal I, so they
     # differ in I(x)A + A(x)I, which the leg-wise normal form removes.
     one = Polynomial.one(alphabet, field)
     details1 = []
-    for u, z in z_table.items():
+    for u, z in report.z_table.items():
         rest = comul.of_poly(z) - TensorElement.of(one, z) - TensorElement.of(z, one)
         for (w, w2), _c in tensor_bracket_coordinates(rest, gb).items():
             if not w or not w2:
@@ -169,15 +176,11 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.condition2 = cond2
 
     # Condition (3): monomial counts match quotient dimensions per degree.
-    cond3 = _basis_counts(gb, data.dimensions, "pbw condition (3): basis counts")
+    cond3 = _basis_counts(gb, report.dims, "pbw condition (3): basis counts")
     if field.char != 0:
         cond3.details.append(
             "note: positive characteristic, counted the exponent-bounded family")
     report.condition3 = cond3
-
-    report.finiteness = _finiteness_flag(presentation, gb, data.lyndon)
-    if report.finiteness.startswith(FINITE_AT_BOUND):
-        report.gk_candidate = len(gamma)
     return report
 
 
@@ -275,10 +278,9 @@ def extract_ihoe(presentation: Presentation, report: StructureReport | None = No
     if report is None:
         report = verify_structure_theorem(presentation)
     if not report.passed:
-        raise ValueError("tower extraction refused: structure verification did not pass")
+        raise ValueError("refused: structure verification did not pass")
     if report.gk_candidate is None:
-        raise ValueError(
-            "tower extraction refused: generator set not candidate-finite at this bound")
+        raise ValueError(f"refused: {report.finiteness}; not candidate-finite")
     alphabet = presentation.alphabet
     gamma = report.gamma
     d = len(gamma)

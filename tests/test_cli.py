@@ -12,14 +12,18 @@ from hopfpbw import (
     Alphabet,
     ExpressionError,
     Polynomial,
+    Presentation,
     PrimeField,
     QQ,
+    extract_ihoe,
     parse_polynomial,
     parse_tensor,
     render_polynomial,
     render_tensor,
+    verify_structure_theorem,
 )
-from hopfpbw.cli import run
+from hopfpbw import structure
+from hopfpbw.cli import parse_presentation, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -266,6 +270,50 @@ def test_hopf_check_non_triangular_refuses_antipode(capsys):
     assert "not triangular" in verdicts["antipode law"]["detail"]
     assert "antipodes" not in report
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_hopf_check_states_no_antipode_above_the_bound(tmp_path):
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 4}],
+        "relations": [],
+        "comultiplication": {"y": "1#y + y#1 + x#x^3"},
+    }), encoding="utf-8")
+    code, report, text = run(["hopf-check", str(path), "--bound", "3"])
+    assert code == 0
+    assert report["antipodes"] == [{"generator": "x", "value": "-x"}]
+    assert "verdict: PASS antipode law | note: S(y) not reported: degree 4 above the bound 3\n" in text
+    assert "S(y)" not in text.split("antipode law")[1].split("\n", 1)[1]
+    # At the bound 4 the laws reach y, and coassociativity fails there.
+    code, report, text = run(["hopf-check", str(path), "--bound", "4"])
+    assert code == 1
+    assert "verdict: FAIL coassociativity and counit | coassociativity fails on y\n" in text
+    assert "antipodes" not in report
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "Fp:7"]])
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_hilbert_checks_no_pbw_condition(name, field, monkeypatch):
+    argv = ["hilbert", fixture(name), "--bound", "5", *field]
+    expected = run(argv)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("hilbert checked a PBW condition")
+
+    for target in ("_commutator_coordinates", "tensor_bracket_coordinates", "_nf_bracket"):
+        monkeypatch.setattr(structure, target, refuse)
+    assert run(argv) == expected
+
+
+@pytest.mark.parametrize("name", ["bad_delta.json", "unstable_square.json", "free2.json"])
+def test_ihoe_refusal_is_the_library_refusal(name):
+    _code, report, _text = run(["ihoe", fixture(name)])
+    detail = {v["name"]: v["detail"] for v in report["verdicts"]}["tower extraction"]
+    alphabet, field, relations, images, _digest, bound = parse_presentation(fixture(name))
+    pres = Presentation(alphabet, field, relations, images, bound)
+    with pytest.raises(ValueError) as refusal:
+        extract_ihoe(pres, verify_structure_theorem(pres))
+    assert str(refusal.value) == detail
 
 
 def test_json_path_in_missing_directory_is_exit_2(tmp_path, capsys):

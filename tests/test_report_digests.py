@@ -1,13 +1,18 @@
 """Reports stay byte-identical: a corpus of CLI runs on the fixtures, and of
 ``lyndon`` queries on a fixed list of words, each reduced to the SHA-256 of
 its exit code, JSON report and text report, is compared with the digests in
-``report_digests.json``.
+``report_digests.json``.  Refusals stay byte-identical too: a second corpus of
+argv that exit 2, each reduced to the SHA-256 of its exit code and stderr (the
+checkout's root and the work directory replaced by fixed placeholders), is
+compared with ``refusal_digests.json``.
 
-A change that is meant to alter a report re-records the file with
+A change that is meant to alter a report re-records both files with
 ``PYTHONPATH=src python tests/test_report_digests.py`` and says why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -17,6 +22,7 @@ from hopfpbw.cli import run
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+REFUSAL_DIGESTS = Path(__file__).resolve().parent / "refusal_digests.json"
 
 COMMANDS = (["verify"], ["quasi-lie"], ["ihoe"], ["hilbert"], ["heights"],
             ["basis", "--degree", "3"], ["lie-gens"], ["hopf-check"], ["gb"])
@@ -26,6 +32,19 @@ LYNDON_GENS = "x1,x2:2,x3:3"
 LYNDON_WORDS = ("x1", "x3", "x2 x1", "x1 x2", "x3 x1 x2", "x2 x1 x2 x1 x1",
                 "x3 x2 x1 x2 x1", "x2 x2 x1 x2 x1 x1", "x3 x1 x3 x1 x1 x2",
                 "x3 x3 x2 x1 x1 x3 x2 x1", "x2" + " x1" * 29)
+NO_BOUND = "<no-bound file>"
+REFUSALS = (["basis", "heisenberg.json", "--bound", "5"],
+            ["basis", "heisenberg.json", "--bound", "5", "--degree", "99"],
+            ["basis", "heisenberg.json", "--bound", "5", "--degree", "-1"],
+            ["lie-gens", "heisenberg.json", "--bound", "5", "--field", "Fp:7"],
+            ["lie-gens", "nonprimitive_pair.json", "--bound", "5"],
+            ["verify", NO_BOUND],
+            ["hilbert", NO_BOUND],
+            ["verify", "missing.json", "--bound", "5"],
+            ["ihoe", "heisenberg.json", "--bound", "5", "--field", "Fp:4"],
+            ["hilbert", "free2.json", "--bound", "0"],
+            ["hopf-check", "free2.json", "--field", "Fp:4", "--bound", "0"],
+            ["frobnicate", "heisenberg.json"])
 
 
 def _corpus():
@@ -53,18 +72,42 @@ def compute_digests(workdir) -> dict:
     return {key: _digest(argv, json_path) for key, argv in _corpus()}
 
 
-def test_reports_match_recorded_digests(tmp_path):
-    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    current = compute_digests(tmp_path)
+def compute_refusal_digests(workdir) -> dict:
+    no_bound = Path(workdir) / "no_bound.json"
+    no_bound.write_text(json.dumps({"generators": [{"name": "x", "degree": 1}]}),
+                        encoding="utf-8")
+    digests = {}
+    for argv in REFUSALS:
+        path = no_bound if argv[1] == NO_BOUND else ROOT / "fixtures" / argv[1]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, _report, _text = run([argv[0], str(path), *argv[2:]])
+        message = stderr.getvalue().replace(str(workdir), "<WORKDIR>").replace(str(ROOT), "<ROOT>")
+        blob = json.dumps([code, message]).encode("utf-8")
+        digests[" ".join(argv)] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def _assert_matches(current, path):
+    recorded = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(current) == sorted(recorded)
     changed = [key for key in current if current[key] != recorded[key]]
     assert changed == []
 
 
+def test_reports_match_recorded_digests(tmp_path):
+    _assert_matches(compute_digests(tmp_path), DIGESTS)
+
+
+def test_refusals_match_recorded_digests(tmp_path):
+    _assert_matches(compute_refusal_digests(tmp_path), REFUSAL_DIGESTS)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = compute_digests(tmp)
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(digests)} digests in {DIGESTS}", file=sys.stderr)
+    for path, compute in ((DIGESTS, compute_digests), (REFUSAL_DIGESTS, compute_refusal_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = compute(tmp)
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(digests)} digests in {path}", file=sys.stderr)
