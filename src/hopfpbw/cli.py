@@ -429,9 +429,8 @@ def _parse_word_arg(alphabet, text: str):
 
 # Larger brackets are refused: a random 26-letter Lyndon word took 40 s and 1 GB.
 _MAX_BRACKET_TERMS = 2 ** 20
-# Longer words are refused: the bracket of x2 x1^k has only k + 1 terms, yet
-# took 0.16 s at k = 99 and 1.2 s at k = 199, and the recursion is as deep as
-# the word is long (x2 x1^999 ended in a RecursionError).
+# Longer words are refused for time: the bracket of x2 x1^k has only k + 1
+# terms, yet took 0.16 s at k = 99 and 1.2 s at k = 199.
 _MAX_BRACKET_LETTERS = 200
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .poly import Polynomial, TensorElement, binomial, standard_bracket, standard_comultiplication
-from .rewrite import TruncatedGB, tensor_bracket_coordinates
+from .rewrite import OutOfCertifiedRange, TruncatedGB, tensor_bracket_coordinates
 from .word import factors_below, is_lyndon, lyndon_decomposition
 from .expressions import render_polynomial, render_tensor, render_word
 
@@ -163,37 +163,48 @@ def _triple_reduce(gb: TruncatedGB, triples: dict) -> dict:
     return out
 
 
+def _irreducible_letters(gb: TruncatedGB, max_degree: int) -> list:
+    """The irreducible letters of degree <= ``max_degree``: a law holds on
+    every irreducible word up to ``max_degree`` iff it holds on them.
+    ``(Delta (x) id) Delta`` and ``(id (x) Delta) Delta``, then leg-wise into
+    ``(k<X>/I)^(x)3``, ``(eps (x) id) Delta``, ``(id (x) eps) Delta`` and ``id``
+    are algebra maps.  With ``S`` anti-multiplicative and ``Delta`` multiplicative,
+    ``m(S (x) id) Delta(uv) = sum S(v1) [m(S (x) id) Delta(u)] v2``, likewise for
+    ``m(id (x) S) Delta``.  The letters of an irreducible word are irreducible
+    words, stable ideal or not.  Exact while each image term has degree <= its
+    letter's, so that the legs stay where NF is multiplicative."""
+    if max_degree > gb.bound:
+        raise OutOfCertifiedRange(f"degree {max_degree} exceeds bound {gb.bound}")
+    return [x for x, d in enumerate(gb.alphabet.degrees)
+            if d <= max_degree and not gb.is_reducible_word((x,))]
+
+
 def check_coassoc_counit(comul: Comultiplication, gb: TruncatedGB, max_degree: int) -> CheckReport:
-    """Coassociativity and counit laws in the quotient, tested on a spanning
-    set (the irreducible words) per degree up to ``max_degree``."""
+    """Coassociativity and counit laws in the quotient up to ``max_degree``."""
     alphabet, field = comul.alphabet, comul.field
     add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
     details = []
-    for n in range(max_degree + 1):
-        for w in gb.irreducible_words(n):
-            dw = comul.of_word(w)
-            # counit law: the scalar-leg parts must reproduce w.  The keys
-            # ((), b) and (a, ()) are unique, so a side needs no summing.
-            left = {b: c for (a, b), c in dw.coeffs.items() if not a}
-            right = {a: c for (a, b), c in dw.coeffs.items() if not b}
-            nf_w = Polynomial.from_word(alphabet, field, w)   # w is irreducible
-            for side, data in (("eps (x) id", left), ("id (x) eps", right)):
-                got = gb._reduce(Polynomial(alphabet, field, data))
-                if got != nf_w:
-                    details.append(
-                        f"counit fails on {render_word(alphabet, w)} via {side}")
-            # coassociativity: (Delta (x) id - id (x) Delta) Delta(w) in one dict;
-            # the sides mostly cancel, so only the nonzero rest is reduced.
-            diff = {}
-            for (a, b), c in dw.coeffs.items():
-                for (u, v), x in comul.of_word(a).coeffs.items():
-                    key = (u, v, b)
-                    diff[key] = add(diff.get(key, zero), mul(c, x))
-                for (u, v), x in comul.of_word(b).coeffs.items():
-                    key = (a, u, v)
-                    diff[key] = sub(diff.get(key, zero), mul(c, x))
-            if _triple_reduce(gb, {key: c for key, c in diff.items() if c != zero}):
-                details.append(f"coassociativity fails on {render_word(alphabet, w)}")
+    for x in _irreducible_letters(gb, max_degree):
+        name, dx = alphabet.names[x], comul.image(x)
+        # counit law: the scalar-leg parts must reproduce x.  The keys
+        # ((), b) and (a, ()) are unique, so a side needs no summing.
+        left = {b: c for (a, b), c in dx.coeffs.items() if not a}
+        right = {a: c for (a, b), c in dx.coeffs.items() if not b}
+        for side, data in (("eps (x) id", left), ("id (x) eps", right)):
+            if gb._reduce(Polynomial(alphabet, field, data)) != Polynomial.from_word(alphabet, field, (x,)):
+                details.append(f"counit fails on {name} via {side}")
+        # coassociativity: (Delta (x) id - id (x) Delta) Delta(x) in one dict;
+        # the sides mostly cancel, so only the nonzero rest is reduced.
+        diff = {}
+        for (a, b), c in dx.coeffs.items():
+            for (u, v), y in comul.of_word(a).coeffs.items():
+                key = (u, v, b)
+                diff[key] = add(diff.get(key, zero), mul(c, y))
+            for (u, v), y in comul.of_word(b).coeffs.items():
+                key = (a, u, v)
+                diff[key] = sub(diff.get(key, zero), mul(c, y))
+        if _triple_reduce(gb, {key: c for key, c in diff.items() if c != zero}):
+            details.append(f"coassociativity fails on {name}")
     return CheckReport(name="coassociativity and counit", ok=not details, details=details)
 
 
@@ -222,7 +233,6 @@ class Antipode:
         self.gb = gb
         alphabet, field = comul.alphabet, comul.field
         self._letters = {}
-        self._words = {(): Polynomial.one(alphabet, field)}
         for x in range(alphabet.size):
             poly_x = Polynomial.from_word(alphabet, field, (x,))
             rest = comul.image(x) - _primitive_image(alphabet, field, x)
@@ -232,43 +242,37 @@ class Antipode:
             self._letters[x] = gb._reduce(acc)
 
     def _of_word(self, w) -> Polynomial:
-        w = tuple(w)
-        cached = self._words.get(w)
-        if cached is None:
-            head = self._letters[w[0]]
-            cached = self.gb._reduce(self._of_word(w[1:]) * head)
-            self._words[w] = cached
-        return cached
+        out = Polynomial.one(self.comul.alphabet, self.comul.field)
+        for x in w:   # S(w) = S(w[-1]) ... S(w[0])
+            out = self.gb._reduce(self._letters[x] * out)
+        return out
 
     def of(self, f: Polynomial) -> Polynomial:
+        if f.degree() > self.gb.bound:
+            raise OutOfCertifiedRange(
+                f"degree {f.degree()} exceeds the certified bound {self.gb.bound}")
         return self.gb._reduce(f.extend_linearly(self._of_word, Polynomial))
 
     def convolution_check(self, max_degree: int) -> CheckReport:
-        """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` on irreducible words."""
+        """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` up to ``max_degree``."""
         gb, comul = self.gb, self.comul
         alphabet, field = comul.alphabet, comul.field
         add, mul, zero = field.add, field.mul, field.zero
         details = []
-        for n in range(max_degree + 1):
-            for w in gb.irreducible_words(n):
-                target = Polynomial.one(alphabet, field) if n == 0 else Polynomial.zero(alphabet, field)
-                left, right = {}, {}    # S(a) b and a S(b), summed over Delta(w)
-                for (a, b), c in comul.of_word(w).coeffs.items():
-                    for u, x in self._of_word(a).coeffs.items():
-                        left[u + b] = add(left.get(u + b, zero), mul(c, x))
-                    for u, x in self._of_word(b).coeffs.items():
-                        right[a + u] = add(right.get(a + u, zero), mul(c, x))
-                left = Polynomial(alphabet, field, left)
-                right = Polynomial(alphabet, field, right)
-                if gb._reduce(left) != target or gb._reduce(right) != target:
-                    details.append(f"antipode law fails on {render_word(alphabet, w)}")
+        for x in _irreducible_letters(gb, max_degree):
+            left, right = {}, {}    # S(a) b and a S(b), summed over Delta(x)
+            for (a, b), c in comul.image(x).coeffs.items():
+                for u, y in self._of_word(a).coeffs.items():
+                    left[u + b] = add(left.get(u + b, zero), mul(c, y))
+                for u, y in self._of_word(b).coeffs.items():
+                    right[a + u] = add(right.get(a + u, zero), mul(c, y))
+            if gb._reduce(Polynomial(alphabet, field, left)) or gb._reduce(Polynomial(alphabet, field, right)):
+                details.append(f"antipode law fails on {alphabet.names[x]}")
         return CheckReport(name="antipode law", ok=not details, details=details)
 
 
 def antipode_normal_form(comul: Comultiplication, gb: TruncatedGB, f: Polynomial) -> Polynomial:
     """Antipode of ``f`` in normal form; prechecks coassociativity and counit."""
-    if f.degree() > gb.bound:
-        raise ValueError(f"degree {f.degree()} exceeds the certified bound {gb.bound}")
     return Antipode(comul, gb, precheck=True).of(f)
 
 

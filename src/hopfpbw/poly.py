@@ -270,17 +270,22 @@ def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=Non
     (NF below the bound of a complete system) thus never builds ``[w]``."""
     if w in memo:
         return memo[w]
-    if len(w) <= 1:
-        value = Polynomial.from_word(alphabet, field, w)
-    else:
-        left, right = shirshov_factorization(w)
-        bl = _shirshov_bracket(alphabet, field, left, memo, reduce)
-        br = _shirshov_bracket(alphabet, field, right, memo, reduce)
-        value = bl * br - br * bl if is_lyndon(w) else bl * br
-    if reduce is not None:
-        value = reduce(value)
-    memo[w] = value
-    return value
+    stack = [w]   # a post-order walk: a word is revisited once its halves are known
+    while stack:
+        v = stack.pop()
+        if v in memo:
+            continue
+        if len(v) <= 1:
+            value = Polynomial.from_word(alphabet, field, v)
+        else:
+            left, right = shirshov_factorization(v)
+            if left not in memo or right not in memo:
+                stack += [v, right, left]
+                continue
+            bl, br = memo[left], memo[right]
+            value = bl * br - br * bl if is_lyndon(v) else bl * br
+        memo[v] = value if reduce is None else reduce(value)
+    return memo[w]
 
 
 def standard_bracket(alphabet: Alphabet, w: Word, field=None) -> Polynomial:

@@ -297,3 +297,19 @@ def test_criterion_9_serre_b2_quasi_lie_at_file_bound():
     ok = code == 0 and report["bound"] == 16
     ok &= len(report["verdicts"]) == 3 and all(v["pass"] for v in report["verdicts"])
     _report(9, "Serre-B2 quasi-primitivity at its file bound", ok, time.monotonic() - start, 5)
+
+
+def test_criterion_10_hopf_laws_on_generators_at_bound_12():
+    start = time.monotonic()
+    expected = {
+        PRESENTATIONS / "serre_b2.json": {"e1": "-e1", "e2": "-e2"},
+        FIXTURES / "divided_powers.json": {"x": "-x", "y": "-y + x^2", "z": "-z + 2*x*y - x^3"},
+    }
+    ok = True
+    for path, antipodes in expected.items():
+        code, report, _ = run(["hopf-check", str(path), "--bound", "12"])
+        ok &= code == 0 and report["bound"] == 12
+        ok &= len(report["verdicts"]) == 4 and all(v["pass"] for v in report["verdicts"])
+        ok &= {e["generator"]: e["value"] for e in report["antipodes"]} == antipodes
+    _report(10, "Hopf laws of Serre-B2 and divided powers at D = 12", ok,
+            time.monotonic() - start, 2)

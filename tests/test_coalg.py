@@ -9,6 +9,7 @@ from hopfpbw import (
     Alphabet,
     Antipode,
     Comultiplication,
+    OutOfCertifiedRange,
     Polynomial,
     PrimeField,
     QQ,
@@ -244,29 +245,74 @@ def _seeded_images(rng):
     return images
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
-def test_coassoc_counit_matches_the_oracle(field):
-    bound, p, verdicts = 5, field.char or None, []
+def _seeded_cases(field, bound=5):
+    """The seeded comultiplications over ABC, with each relation set's basis:
+    ``(label, seed, gb, images, comul)``."""
     for label, sources in _ABC_RELATIONS.items():
         gb = compute_truncated_gb(
             ABC, field, [parse_polynomial(r, ABC, field) for r in sources], bound)
-        elements = [g.coeffs for g in gb.elements]
         for seed in range(8):
             images = _seeded_images(random.Random(f"{field!r} {label} {seed}"))
             comul = Comultiplication(ABC, field, {
                 x: TensorElement(ABC, field, {pair: field.of_int(c) for pair, c in image.items()})
                 for x, image in images.items()})
-            expected = []
-            for w, law in reference_coassoc_counit(ABC.degrees, elements, images, bound, p):
-                word = " ".join(ABC.names[i] for i in w) or "1"
+            yield label, seed, gb, images, comul
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
+def test_coassoc_counit_matches_the_oracle(field):
+    bound, p, verdicts = 5, field.char or None, []
+    for label, seed, gb, images, comul in _seeded_cases(field, bound):
+        elements = [g.coeffs for g in gb.elements]
+        failures = reference_coassoc_counit(ABC.degrees, elements, images, bound, p)
+        # the verdict is the per-word one; the details name the generators
+        expected = []
+        for w, law in failures:
+            if len(w) == 1:
+                word = ABC.names[w[0]]
                 expected.append(f"coassociativity fails on {word}" if law == "coassociativity"
                                 else f"counit fails on {word} via {law}")
-            report = check_coassoc_counit(comul, gb, bound)
-            assert sorted(report.details) == sorted(expected), (label, seed)
-            assert report.ok == (not expected)
-            verdicts.append(report.ok)
+        report = check_coassoc_counit(comul, gb, bound)
+        assert sorted(report.details) == sorted(expected), (label, seed)
+        assert report.ok == (not failures)
+        verdicts.append(report.ok)
     # both verdicts are well represented
     assert 8 <= verdicts.count(False) <= 24, verdicts
+
+
+def test_antipode_law_on_generators_matches_every_word():
+    verdicts = []
+    for field in (QQ, PrimeField(3), PrimeField(7)):
+        for label, seed, gb, _images, comul in _seeded_cases(field):
+            try:
+                antipode = Antipode(comul, gb, precheck=False)
+            except ValueError:   # not triangular
+                continue
+            S = {}
+            per_word = True
+            for n in range(gb.bound + 1):
+                target = Polynomial.one(ABC, field) if n == 0 else Polynomial.zero(ABC, field)
+                for w in gb.irreducible_words(n):
+                    left = right = Polynomial.zero(ABC, field)
+                    for (a, b), c in comul.of_word(w).coeffs.items():
+                        pa, pb = (Polynomial.from_word(ABC, field, v) for v in (a, b))
+                        for v, pv in ((a, pa), (b, pb)):
+                            if v not in S:
+                                S[v] = antipode.of(pv)
+                        left = left + (S[a] * pb).scale(c)
+                        right = right + (pa * S[b]).scale(c)
+                    per_word &= gb.normal_form(left) == target == gb.normal_form(right)
+            assert antipode.convolution_check(gb.bound).ok == per_word, (field, label, seed)
+            verdicts.append(per_word)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 3, verdicts
+
+
+def test_law_checks_refuse_above_the_bound():
+    comul, gb = pair_comul(), pair_gb()
+    with pytest.raises(OutOfCertifiedRange):
+        check_coassoc_counit(comul, gb, gb.bound + 1)
+    with pytest.raises(OutOfCertifiedRange):
+        Antipode(comul, gb).convolution_check(gb.bound + 1)
 
 
 def test_is_lie_polynomial():
@@ -332,6 +378,15 @@ def test_antipode_is_antimultiplicative_mod_ideal():
         g = Polynomial(PAIR, QQ, {rng.choice(pool): Fraction(rng.randint(-3, 3))
                                   for _ in range(2)})
         assert antipode.of(f * g) == gb.normal_form(antipode.of(g) * antipode.of(f))
+
+
+def test_antipode_refuses_above_the_bound():
+    comul, gb = pair_comul(), pair_gb(bound=3)
+    xyy = parse_polynomial("x*y*y", PAIR, QQ)
+    with pytest.raises(OutOfCertifiedRange, match="degree 5 exceeds the certified bound 3"):
+        Antipode(comul, gb).of(xyy)
+    with pytest.raises(OutOfCertifiedRange, match="degree 5 exceeds the certified bound 3"):
+        antipode_normal_form(comul, gb, xyy)
 
 
 def test_antipode_refused_without_counit():

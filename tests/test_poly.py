@@ -370,3 +370,8 @@ def test_is_lyndon_guard_on_brackets():
     w = AB2.word("x1", "x1")
     assert standard_bracket(AB2, w) == P("x1^2")
     assert not is_lyndon(w)
+
+
+def test_bracket_of_a_long_word_needs_no_recursion_depth():
+    two = Alphabet([("x", 1), ("y", 1)])
+    assert standard_bracket(two, (0,) * 1200) == Polynomial.from_word(two, QQ, (0,) * 1200)

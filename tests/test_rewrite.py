@@ -711,3 +711,9 @@ def test_dimensions_match_dimension_oracle(field, data):
     gb = compute_truncated_gb(alphabet, field, relations, 5)
     assert gb.dimensions() == [ideal_dimension_oracle(alphabet, relations, n, field.char or None)
                                for n in range(6)]
+
+
+def test_nf_bracket_of_a_long_word_needs_no_recursion_depth():
+    two = Alphabet([("x", 1), ("y", 1)])
+    gb = compute_truncated_gb(two, QQ, [parse_polynomial("x*x", two, QQ)], 1200)
+    assert _nf_bracket(gb, (1,) + (0,) * 1199).is_zero()
