@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .poly import Polynomial, TensorElement, binomial, standard_bracket, standard_comultiplication
-from .rewrite import OutOfCertifiedRange, TruncatedGB, tensor_bracket_coordinates
+from .poly import Polynomial, TensorElement, binomial, standard_bracket
+from .rewrite import OutOfCertifiedRange, TruncatedGB, bracket_coordinates, tensor_bracket_coordinates
 from .word import factors_below, is_lyndon, lyndon_decomposition
 from .expressions import render_polynomial, render_tensor, render_word
 
@@ -54,7 +54,6 @@ class Comultiplication:
                     raise ValueError(f"missing comultiplication image for generator {alphabet.names[idx]!r}")
                 table[idx] = _primitive_image(alphabet, field, idx)
         self.images = table
-        self._word_cache = {(): TensorElement.one(alphabet, field)}
 
     @classmethod
     def standard(cls, alphabet, field):
@@ -68,12 +67,10 @@ class Comultiplication:
                    for i in range(self.alphabet.size))
 
     def of_word(self, w) -> TensorElement:
-        w = tuple(w)
-        cached = self._word_cache.get(w)
-        if cached is None:
-            cached = self.of_word(w[:-1]) * self.images[w[-1]]
-            self._word_cache[w] = cached
-        return cached
+        out = TensorElement.one(self.alphabet, self.field)
+        for x in w:
+            out = out * self.images[x]
+        return out
 
     def of_poly(self, f: Polynomial) -> TensorElement:
         return f.extend_linearly(self.of_word, TensorElement)
@@ -209,11 +206,11 @@ def check_coassoc_counit(comul: Comultiplication, gb: TruncatedGB, max_degree: i
 
 
 def is_lie_polynomial(f: Polynomial) -> bool:
-    """True iff ``f`` is primitive for the standard comultiplication."""
+    """True iff ``f`` is primitive for the standard comultiplication; in
+    characteristic 0, iff every bracket coordinate of ``f`` is a Lyndon word."""
     if f.field.char != 0:
         raise ValueError("the Lie-polynomial test requires characteristic 0")
-    one = Polynomial.one(f.alphabet, f.field)
-    return standard_comultiplication(f) == TensorElement.of(one, f) + TensorElement.of(f, one)
+    return all(map(is_lyndon, bracket_coordinates(f, free_gb(f.alphabet, f.field, f.degree()))))
 
 
 class Antipode:

@@ -226,16 +226,18 @@ class TensorElement(_Combination):
         return cls(left.alphabet, left.field, out)
 
     def map_legs(self, fleft, fright):
-        """Apply linear maps (given on polynomials) to the two legs."""
+        """Apply linear maps (given on polynomials) to the two legs, each leg once."""
         alphabet, field = self.alphabet, self.field
         add, mul, zero = field.add, field.mul, field.zero
-        out = {}
+        lefts, rights, out = {}, {}, {}
         for (a, b), c in self.coeffs.items():
-            la = fleft(Polynomial.from_word(alphabet, field, a))
-            rb = fright(Polynomial.from_word(alphabet, field, b))
-            for u, x in la.coeffs.items():
+            if a not in lefts:
+                lefts[a] = fleft(Polynomial.from_word(alphabet, field, a)).coeffs
+            if b not in rights:
+                rights[b] = fright(Polynomial.from_word(alphabet, field, b)).coeffs
+            for u, x in lefts[a].items():
                 cx = mul(c, x)
-                for v, y in rb.coeffs.items():
+                for v, y in rights[b].items():
                     p = (u, v)
                     out[p] = add(out.get(p, zero), mul(cx, y))
         return TensorElement(alphabet, field, out)
@@ -262,12 +264,14 @@ def leading_word(f: Polynomial) -> Word:
 # -- standard bracketing ---------------------------------------------------
 
 
-def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None) -> Polynomial:
+def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None, leaf=None):
     """``[w]`` by Shirshov recursion: ``[x] = x``; for ``w = lr`` split by
     ``shirshov_factorization``, ``[l][r] - [r][l]`` if ``w`` is Lyndon, else
-    ``[l][r]``.  Each value, letters included, goes through ``reduce`` if
-    given and into ``memo``; a reduction multiplicative on the words met
-    (NF below the bound of a complete system) thus never builds ``[w]``."""
+    ``[l][r]``.  A word of length <= 1 has the value ``leaf(w)``, by default
+    ``w``; with an algebra map's ``of_word`` the walk builds the image of ``[w]``.
+    Each value, leaves included, goes through ``reduce`` if given and into
+    ``memo``; a reduction multiplicative on the words met (NF below the bound
+    of a complete system) thus never builds ``[w]``."""
     if w in memo:
         return memo[w]
     stack = [w]   # a post-order walk: a word is revisited once its halves are known
@@ -276,7 +280,7 @@ def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=Non
         if v in memo:
             continue
         if len(v) <= 1:
-            value = Polynomial.from_word(alphabet, field, v)
+            value = leaf(v) if leaf else Polynomial.from_word(alphabet, field, v)
         else:
             left, right = shirshov_factorization(v)
             if left not in memo or right not in memo:

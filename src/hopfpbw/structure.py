@@ -145,12 +145,13 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.commutators = _commutator_coordinates(gb, gamma)
 
     # Condition (1): coproduct membership per generator.  Delta(z_u) has the
-    # coordinates of Delta([u]): [u] - z_u lies in the stable ideal I, so they
-    # differ in I(x)A + A(x)I, which the leg-wise normal form removes.
-    one = Polynomial.one(alphabet, field)
+    # coordinates of Delta([u]), which the bracket walk builds from the letters:
+    # [u] - z_u lies in the stable ideal I, and leg-wise NF removes I(x)A + A(x)I.
+    one, memo = Polynomial.one(alphabet, field), {}
     details1 = []
     for u, z in report.z_table.items():
-        rest = comul.of_poly(z) - TensorElement.of(one, z) - TensorElement.of(z, one)
+        delta = _shirshov_bracket(alphabet, field, u, memo, leaf=comul.of_word)
+        rest = delta - TensorElement.of(one, z) - TensorElement.of(z, one)
         for (w, w2), _c in tensor_bracket_coordinates(rest, gb).items():
             if not w or not w2:
                 details1.append(

@@ -313,3 +313,12 @@ def test_criterion_10_hopf_laws_on_generators_at_bound_12():
         ok &= {e["generator"]: e["value"] for e in report["antipodes"]} == antipodes
     _report(10, "Hopf laws of Serre-B2 and divided powers at D = 12", ok,
             time.monotonic() - start, 2)
+
+
+def test_criterion_11_free2_verification_at_bound_10():
+    start = time.monotonic()
+    code, report, _ = run(["verify", str(FIXTURES / "free2.json"), "--bound", "10"])
+    ok = code == 0 and report["bound"] == 10
+    ok &= len(report["verdicts"]) == 5 and all(v["pass"] for v in report["verdicts"])
+    ok &= report["hilbert"] == [2 ** n for n in range(11)]
+    _report(11, "free2 verification at D = 10", ok, time.monotonic() - start, 2)

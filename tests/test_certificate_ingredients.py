@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from hopfpbw import (
+    Comultiplication,
     Polynomial,
     Presentation,
     TensorElement,
     admissible_words,
     bracket_coordinates,
     commutator,
+    enumerate_lyndon,
     extract_ihoe,
     irreducible_lyndon_words,
     standard_bracket,
@@ -21,10 +23,13 @@ from hopfpbw import (
     verify_structure_theorem,
 )
 from hopfpbw.cli import _parse_field, parse_presentation
+from hopfpbw.poly import _shirshov_bracket
 from hopfpbw.word import GREATER, compare_lex
 import hopfpbw.structure as structure
 
-FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
+BENCH_PRESENTATIONS = sorted((ROOT / "perfbench" / "presentations").glob("*.json"))
 FIELDS = (None, "Q", "Fp:7")   # None keeps the file's field
 MAX_BOUND = 8
 
@@ -73,6 +78,22 @@ def test_commutator_table_equals_free_algebra_brackets(certified):
             assert coords == bracket_coordinates(free, gb)
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda spec: spec or "file")
+def test_bracket_walk_equals_the_expanded_coproduct(spec):
+    # Delta is an algebra map, so the Shirshov walk with the letter images as
+    # leaves gives Delta([w]) exactly, with any images and any relations.
+    override = _parse_field(spec) if spec else None
+    checked = 0
+    for path in FIXTURES + BENCH_PRESENTATIONS:
+        alphabet, field, _rels, images, _digest, bound = parse_presentation(path, override)
+        comul, memo = Comultiplication(alphabet, field, images), {}
+        for w in enumerate_lyndon(alphabet, min(7, bound)):
+            walk = _shirshov_bracket(alphabet, field, w, memo, leaf=comul.of_word)
+            assert walk == comul.of_poly(standard_bracket(alphabet, w, field)), (path.stem, w)
+            checked += 1
+    assert checked > 200
 
 
 def _coproduct_remainder_coordinates(comul, gb, f):

@@ -1,6 +1,8 @@
 """Comultiplication extension, certificates, Lie tests, antipodes."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from hopfpbw import (
     standard_bracket,
     standard_comultiplication,
 )
+from hopfpbw.poly import _shirshov_bracket
 
 from helpers import (
     all_words,
@@ -340,6 +343,50 @@ def test_is_lie_agrees_with_dynkin():
         if len(u) >= 2:
             spoiled = b + Polynomial.from_word(AB2, QQ, u[:1] * len(u))
             assert is_lie_polynomial(spoiled) == is_lie_by_dynkin(spoiled)
+
+
+def test_is_lie_polynomial_reads_bracket_coordinates(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the Lie test expanded a coproduct")
+
+    monkeypatch.setattr(Comultiplication, "of_word", refuse)
+    heis = Alphabet([("x1", 1), ("x2", 1), ("x3", 2)])
+    bracket = standard_bracket(heis, (1, 1, 0, 1) + (0,) * 10, QQ)
+    assert len(bracket.coeffs) == 70 and bracket.degree() == 14
+    assert is_lie_polynomial(bracket)
+    assert not is_lie_polynomial(bracket + parse_polynomial("x1*x2", heis, QQ))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_of_word_needs_no_recursion_depth():
+    comul = Comultiplication.standard(Alphabet([("x", 1), ("y", 1)]), QQ)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        image = comul.of_word((0,) * 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert image.coeffs == {((0,) * k, (0,) * (200 - k)): math.comb(200, k) for k in range(201)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
+def test_bracket_walk_equals_the_expanded_coproduct(field):
+    checked = 0
+    for label, seed, gb, _images, comul in _seeded_cases(field):
+        if not check_triangular(comul, graded=False).ok:
+            continue
+        memo = {}
+        for w in enumerate_lyndon(ABC, min(7, gb.bound)):
+            walk = _shirshov_bracket(ABC, field, w, memo, leaf=comul.of_word)
+            assert walk == comul.of_poly(standard_bracket(ABC, w, field)), (label, seed, w)
+            checked += 1
+    assert checked > 100
 
 
 def test_antipode_examples():

@@ -241,6 +241,21 @@ def test_map_legs_applies_polynomial_maps_leg_wise():
     assert t.map_legs(lambda f: Polynomial.zero(AB2, QQ), swap_letters).is_zero()
 
 
+def test_map_legs_maps_each_distinct_leg_once():
+    t = TensorElement.of(P("x1 + x2 + x1*x2"), P("x1 - x2^2"))
+    calls = []
+
+    def counting(side):
+        def image(f):
+            calls.append((side, f.leading_word()))
+            return f.scale(2)
+        return image
+
+    assert t.map_legs(counting("left"), counting("right")) == t.scale(4)
+    assert sorted(calls) == sorted(
+        [("left", (0,)), ("left", (1,)), ("left", (0, 1)), ("right", (0,)), ("right", (1, 1))])
+
+
 def test_coproduct_is_algebra_map():
     rng = random.Random(3)
     words = list(all_words(2, 3))
