@@ -67,8 +67,10 @@ class Comultiplication:
                    for i in range(self.alphabet.size))
 
     def of_word(self, w) -> TensorElement:
-        out = TensorElement.one(self.alphabet, self.field)
-        for x in w:
+        if not w:
+            return TensorElement.one(self.alphabet, self.field)
+        out = self.images[w[0]]
+        for x in w[1:]:
             out = out * self.images[x]
         return out
 

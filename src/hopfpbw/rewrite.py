@@ -18,6 +18,7 @@ import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from math import gcd, lcm
 
 from .poly import Polynomial, TensorElement, _shirshov_bracket
 from .word import count_words_by_degree, is_lyndon, lyndon_words, words_of_degree
@@ -46,7 +47,7 @@ class TruncatedGB:
         self.bound = bound
         self.elements: list[Polynomial] = []
         self._keys: list = []             # glex keys (degree, word) of leading words, parallel
-        # (degree, length) -> {leading word: element}, keys ascending
+        # (degree, length) -> {leading word: _integral(element)}, keys ascending
         self._lw_index: dict[tuple, dict] = {}
         self._nf_bracket_cache: dict = {}
         self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
@@ -66,7 +67,7 @@ class TruncatedGB:
         if group not in self._lw_index:   # keep the groups ascending
             self._lw_index[group] = {}
             self._lw_index = dict(sorted(self._lw_index.items()))
-        self._lw_index[group][lw] = g
+        self._lw_index[group][lw] = _integral(g.coeffs)
         self._basis_changed()
 
     def _remove(self, idx: int):
@@ -97,7 +98,8 @@ class TruncatedGB:
 
     def _find_rewrite(self, w):
         """The first basis element, in ascending leading-word order, whose
-        leading word occurs in ``w``, with its first position; or None.
+        leading word occurs in ``w``: that leading word, the element's
+        integral form (``_integral``) and the first position; or None.
 
         The leading words are scanned by ascending degree and the first
         degree with a factor of ``w`` decides, because graded lex compares
@@ -112,7 +114,7 @@ class TruncatedGB:
                 lw = w[i:i + length]
                 if lw in lws and (best is None or lw < best[1]):  # repeats keep the first position
                     best = (degree, lw, lws[lw], i)
-        return None if best is None else best[2:]
+        return None if best is None else best[1:]
 
     # -- reduction -------------------------------------------------------------
 
@@ -120,8 +122,8 @@ class TruncatedGB:
         """Normal form of ``f`` by single rewrite steps.
 
         Each step rewrites the glex-largest reducible support word with
-        ``_find_rewrite`` (see ``_eliminate``); a word without a rewrite is
-        final.
+        ``_find_rewrite`` (see ``_eliminate``) and the element's ``_integral``
+        form stored by ``_insert``; a word without a rewrite is final.
         """
         if not self.elements or not f.coeffs:
             return f
@@ -130,9 +132,9 @@ class TruncatedGB:
             found = self._find_rewrite(w)
             if found is None:
                 return None
-            g, i = found
-            prefix, suffix = w[:i], w[i + len(g.leading_word()):]
-            return ((prefix + u + suffix, a) for u, a in g.coeffs.items())
+            lw, (scale, multiple), i = found
+            prefix, suffix = w[:i], w[i + len(lw):]
+            return scale, ((prefix + u + suffix, a) for u, a in multiple.items())
 
         kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, rewrite)
         return Polynomial(self.alphabet, self.field, kept, _normalized=True)
@@ -185,45 +187,69 @@ class TruncatedGB:
         return None
 
 
+def _integral(coeffs: dict):
+    """``(L, L coeffs)`` with ``L`` the lcm of the denominators of the scalars,
+    so that every scalar of ``L coeffs`` is an ``int``.  When all are already
+    (residues, integral rationals), that is ``(1, coeffs)`` itself."""
+    if set(map(type, coeffs.values())) <= {int}:
+        return 1, coeffs
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    return scale, {w: c.numerator * (scale // c.denominator) for w, c in coeffs.items()}
+
+
 def _eliminate(alphabet, field, coeffs: dict, pivot):
-    """Triangular elimination down the graded lex order.
+    """Fraction-free triangular elimination down the graded lex order.
 
     Walks the support of ``coeffs`` from the glex-largest word down.  For a
-    word ``w`` with coefficient ``c``, ``pivot(w)`` returns None to keep it,
-    or the terms ``(word, scalar)`` of a polynomial whose leading word is
-    ``w`` with coefficient one; ``c`` times that polynomial is subtracted,
-    which cancels ``w`` and changes only smaller words.  Words wait in a
-    max-heap, so a word is final once popped.  Returns ``(kept, pivots)``:
-    the kept words and the coefficients the pivots were taken with, both
-    keyed glex-descending.
+    word ``w``, ``pivot(w)`` returns None to keep it, or ``L`` and the terms
+    of ``L g``, where ``_integral`` takes a polynomial ``g`` whose leading
+    word is ``w`` with coefficient one to ``(L, L g)``.  The pending
+    combination is held as integers ``F`` over one denominator ``s``: with
+    ``c = F[w]`` and ``t = gcd(c, L)``, the step ``F <- (L/t) F - (c/t) L g``,
+    ``s <- s L/t`` subtracts ``(c/s) g``, which cancels ``w`` and changes
+    only smaller words.  Over F_p, ``L`` and ``s`` stay 1 and scalars are
+    taken mod ``p``.  Words wait in a max-heap, so a word is final once
+    popped.  Returns ``(kept, pivots)``, both keyed glex-descending: each
+    kept word's scalar ``F[w] / s``, and each pivot word's pair
+    ``(F[w], s)``, whose quotient is its pivot's coefficient.
     """
-    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
+    p, div = field.char, field.div
     descending = alphabet.glex_descending_key
 
-    coeffs = dict(coeffs)
-    heap = [(descending(w), w) for w in coeffs]     # heapq pops the smallest
+    s, start = _integral(coeffs)
+    pending = dict(start)
+    heap = [(descending(w), w) for w in pending]     # heapq pops the smallest
     heapq.heapify(heap)
     kept, pivots = {}, {}
     while heap:
         w = heapq.heappop(heap)[-1]
-        c = coeffs.get(w)
+        c = pending.get(w)
         if c is None:
             continue     # cancelled by an earlier pivot
-        terms = pivot(w)
-        if terms is None:
-            kept[w] = c
+        found = pivot(w)
+        if found is None:
+            kept[w] = c if s == 1 else div(c, s)
+            del pending[w]
             continue
-        pivots[w] = c
-        nc = neg(c)
+        pivots[w] = (c, s)
+        scale, terms = found
+        t = gcd(c, scale)
+        r, m = scale // t, c // t
+        if r != 1:
+            s *= r
+            for v in pending:
+                pending[v] *= r
         for v, a in terms:
-            old = coeffs.get(v)
-            nv = mul(nc, a) if old is None else add(old, mul(nc, a))
-            if nv == zero:
-                del coeffs[v]
+            old = pending.get(v)
+            nv = -m * a if old is None else old - m * a
+            if p:
+                nv %= p
+            if not nv:
+                del pending[v]
             else:
                 if old is None:
                     heapq.heappush(heap, (descending(v), v))
-                coeffs[v] = nv
+                pending[v] = nv
     return kept, pivots
 
 
@@ -397,10 +423,12 @@ def bracket_coordinates(f: Polynomial, gb: TruncatedGB) -> dict:
     ``NF(f) = sum c_w NF([w])``, found by graded-lex-descending
     back-substitution (``[w]`` has leading word ``w``).
     """
-    g = gb.normal_form(f)
-    _, coords = _eliminate(gb.alphabet, gb.field, g.coeffs,
-                           lambda w: _nf_bracket(gb, w).coeffs.items())
-    return coords
+    def pivot(w):
+        scale, multiple = _integral(_nf_bracket(gb, w).coeffs)
+        return scale, multiple.items()
+
+    _, pivots = _eliminate(gb.alphabet, gb.field, gb.normal_form(f).coeffs, pivot)
+    return {w: c if s == 1 else gb.field.div(c, s) for w, (c, s) in pivots.items()}
 
 
 def tensor_bracket_coordinates(t: TensorElement, gb: TruncatedGB) -> dict:

@@ -530,6 +530,62 @@ def test_reduce_matches_reference_during_serre_completion(checked_reduce):
     assert len(checked_reduce) > 50
 
 
+def _assert_scalars_normal(field, coeffs):
+    """Over Q an ``int`` when integral and otherwise a ``Fraction`` with
+    denominator > 1; over F_p a residue ``0..p-1``.  ``==`` cannot see this,
+    since ``Fraction(3) == 3``."""
+    for c in coeffs.values():
+        if field.char:
+            assert type(c) is int and 0 <= c < field.char, c
+        else:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+_HEIS_WORDS = [w for n in range(6) for w in words_of_degree(HEIS, n)]
+
+
+@st.composite
+def _monic_systems(draw, field):
+    """A few monic elements with distinct leading words of degree 1..3 and
+    tails on glex-smaller words, their scalars fractions with denominators
+    up to 6 over Q or residues over F_7."""
+    scalars = (st.fractions(-4, 4, max_denominator=6) if field.char == 0
+               else st.integers(1, field.char - 1))
+    leading = draw(st.lists(st.sampled_from([w for w in _HEIS_WORDS
+                                             if 1 <= HEIS.degree(w) <= 3]),
+                            min_size=1, max_size=4, unique=True))
+    system = []
+    for lw in leading:
+        smaller = [w for w in _HEIS_WORDS if HEIS.glex_key(w) < HEIS.glex_key(lw)]
+        tail = draw(st.dictionaries(st.sampled_from(smaller), scalars, max_size=4))
+        coeffs = {w: field.of_fraction(c) for w, c in tail.items()}
+        coeffs[lw] = field.one
+        system.append(Polynomial(HEIS, field, coeffs))
+    return system
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduce_of_monic_systems_matches_reference(field, data):
+    # Fractional pivots make the integer form rescale (L > 1); the inputs
+    # carry raw Fractions, integral ones included.
+    system = data.draw(_monic_systems(field))
+    gb = TruncatedGB(HEIS, field, 5)
+    for g in system:
+        gb._insert(g)
+    scalars = (st.fractions(-4, 4, max_denominator=6) if field.char == 0
+               else st.integers(0, field.char - 1))
+    for _ in range(3):
+        f = Polynomial(HEIS, field, data.draw(st.dictionaries(st.sampled_from(_HEIS_WORDS),
+                                                              scalars, max_size=5)))
+        got = gb._reduce(f).coeffs
+        expected = reference_reduce(HEIS.degrees, [g.coeffs for g in system], f.coeffs,
+                                    field.char or None)
+        assert list(got.items()) == list(expected.items())
+        _assert_scalars_normal(field, got)
+
+
 @pytest.mark.parametrize("alphabet", [AB2, HEIS, Alphabet([("a", 2), ("b", 1), ("c", 3)])],
                          ids=["ab2", "heis", "weighted"])
 def test_elimination_pops_words_in_descending_glex_order(alphabet):
@@ -656,10 +712,51 @@ def test_completed_basis_resolves_every_composition(path):
     _assert_complete(compute_truncated_gb(alphabet, field, relations, min(bound or 7, 7)))
 
 
+SKLYANIN_DRAWS = ((7, -3, -8), (2, -4, 3), (-5, 1, 9))
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 def test_completed_sklyanin_basis_resolves_every_composition(field):
-    for draw in ((7, -3, -8), (2, -4, 3), (-5, 1, 9)):
+    for draw in SKLYANIN_DRAWS:
         _assert_complete(compute_truncated_gb(SKLYANIN, field, sklyanin_relations(*draw, field), 7))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_reduce_matches_reference_during_sklyanin_completion(field, checked_reduce):
+    # Over Q the Sklyanin bases carry denominators, which the fixture
+    # corpus rarely reaches.
+    for draw in SKLYANIN_DRAWS:
+        compute_truncated_gb(SKLYANIN, field, sklyanin_relations(*draw, field), 7)
+    assert len(checked_reduce) > 100
+
+
+def test_bracket_coordinates_with_fractional_brackets():
+    # NF(f) = sum c_w NF([w]), both sides from the reference oracles.
+    gb = compute_truncated_gb(SKLYANIN, QQ, sklyanin_relations(7, -3, -8, QQ), 6)
+    elements = [g.coeffs for g in gb.elements]
+
+    def reference_nf(coeffs):
+        return reference_reduce(SKLYANIN.degrees, elements, coeffs)
+
+    brackets = {}
+    rng = random.Random(41)
+    pool = [w for n in range(7) for w in words_of_degree(SKLYANIN, n)]
+    for _ in range(15):
+        n = rng.randint(3, 6)
+        words = [w for w in pool if len(w) == n]
+        f = Polynomial(SKLYANIN, QQ, {rng.choice(words): Fraction(rng.randint(-6, 6),
+                                                                   rng.randint(1, 4))
+                                      for _ in range(4)})
+        coords = bracket_coordinates(f, gb)
+        _assert_scalars_normal(QQ, coords)
+        rebuilt = {}
+        for w, c in coords.items():
+            if w not in brackets:
+                brackets[w] = reference_nf(reference_bracket(w))
+            for u, a in brackets[w].items():
+                rebuilt[u] = rebuilt.get(u, 0) + c * a
+        assert {u: a for u, a in rebuilt.items() if a} == reference_nf(f.coeffs)
+    assert any(a.denominator > 1 for nf in brackets.values() for a in nf.values())
 
 
 SKLYANIN_LEADING_WORDS = (
