@@ -141,27 +141,6 @@ def check_stability(comul: Comultiplication, gb: TruncatedGB) -> CheckReport:
     return CheckReport(name="stability", ok=not details, details=details)
 
 
-def _triple_reduce(gb: TruncatedGB, triples: dict) -> dict:
-    """Leg-wise normal form of a word-level triple tensor, dropping zeros."""
-    field = gb.field
-    add, mul, zero = field.add, field.mul, field.zero
-    out = {}
-    for (a, b, c), coeff in triples.items():
-        fa, fb, fc = gb.nf_word(a), gb.nf_word(b), gb.nf_word(c)
-        for u, x in fa.coeffs.items():
-            cx = mul(coeff, x)
-            for v, y in fb.coeffs.items():
-                cxy = mul(cx, y)
-                for t, z in fc.coeffs.items():
-                    key = (u, v, t)
-                    val = add(out.get(key, zero), mul(cxy, z))
-                    if val == zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-    return out
-
-
 def _irreducible_letters(gb: TruncatedGB, max_degree: int) -> list:
     """The irreducible letters of degree <= ``max_degree``: a law holds on
     every irreducible word up to ``max_degree`` iff it holds on them.
@@ -192,17 +171,25 @@ def check_coassoc_counit(comul: Comultiplication, gb: TruncatedGB, max_degree: i
         for side, data in (("eps (x) id", left), ("id (x) eps", right)):
             if gb._reduce(Polynomial(alphabet, field, data)) != Polynomial.from_word(alphabet, field, (x,)):
                 details.append(f"counit fails on {name} via {side}")
-        # coassociativity: (Delta (x) id - id (x) Delta) Delta(x) in one dict;
-        # the sides mostly cancel, so only the nonzero rest is reduced.
-        diff = {}
+        # coassociativity: (Delta (x) id - id (x) Delta) Delta(x) = sum_a a (x) T_a,
+        # grouped by its first leg.  As the irreducible words u are independent,
+        # it vanishes in the quotient iff sum_a NF(a)[u] (NF (x) NF)(T_a) does
+        # for each u; the sides mostly cancel, so most T_a are zero.
+        by_first = {}
         for (a, b), c in dx.coeffs.items():
             for (u, v), y in comul.of_word(a).coeffs.items():
-                key = (u, v, b)
-                diff[key] = add(diff.get(key, zero), mul(c, y))
+                rest = by_first.setdefault(u, {})
+                rest[(v, b)] = add(rest.get((v, b), zero), mul(c, y))
+            rest = by_first.setdefault(a, {})
             for (u, v), y in comul.of_word(b).coeffs.items():
-                key = (a, u, v)
-                diff[key] = sub(diff.get(key, zero), mul(c, y))
-        if _triple_reduce(gb, {key: c for key, c in diff.items() if c != zero}):
+                rest[(u, v)] = sub(rest.get((u, v), zero), mul(c, y))
+        sums = {}   # u -> sum_a NF(a)[u] (NF (x) NF)(T_a)
+        for a, rest in by_first.items():
+            rest = TensorElement(alphabet, field, rest).map_legs(gb._reduce, gb._reduce)
+            if rest:
+                for u, y in gb.nf_word(a).coeffs.items():
+                    sums[u] = sums[u] + rest.scale(y) if u in sums else rest.scale(y)
+        if any(sums.values()):
             details.append(f"coassociativity fails on {name}")
     return CheckReport(name="coassociativity and counit", ok=not details, details=details)
 

@@ -226,7 +226,8 @@ class TensorElement(_Combination):
         return cls(left.alphabet, left.field, out)
 
     def map_legs(self, fleft, fright):
-        """Apply linear maps (given on polynomials) to the two legs, each leg once."""
+        """Apply linear maps to the two legs, each distinct leg once; a map takes
+        a polynomial and may return any word-keyed combination, e.g. coordinates."""
         alphabet, field = self.alphabet, self.field
         add, mul, zero = field.add, field.mul, field.zero
         lefts, rights, out = {}, {}, {}

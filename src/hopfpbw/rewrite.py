@@ -434,33 +434,14 @@ def bracket_coordinates(f: Polynomial, gb: TruncatedGB) -> dict:
 def tensor_bracket_coordinates(t: TensorElement, gb: TruncatedGB) -> dict:
     """Leg-wise bracket coordinates of a tensor element.
 
-    Returns a mapping ``(w, w') -> scalar`` over pairs of irreducible words
-    with ``(NF (x) NF)(t) = sum c NF([w]) (x) NF([w'])``.
+    Returns ``(w, w') -> c`` over pairs of irreducible words, in canonical
+    ``TensorElement`` order, with ``(NF (x) NF)(t) = sum c NF([w]) (x) NF([w'])``;
+    bracket coordinates are linear, so ``map_legs`` takes them word by word.
     """
-    alphabet, fld = t.alphabet, t.field
-    key = alphabet.glex_key
+    def coordinates(f):   # keyed glex-descending, no zeros
+        return Polynomial(f.alphabet, f.field, bracket_coordinates(f, gb), _normalized=True)
 
-    # Every regrouping below is keyed by a pair that is unique where it is
-    # read, so each term is assigned, never accumulated.
-    by_right: dict = {}
-    for (a, b), c in t.coeffs.items():
-        by_right.setdefault(b, {})[a] = c
-    mid: dict = {}
-    for b in sorted(by_right, key=key, reverse=True):
-        left = Polynomial(alphabet, fld, by_right[b])
-        for w, c in bracket_coordinates(left, gb).items():
-            mid[(w, b)] = c
-
-    by_left: dict = {}
-    for (w, b), c in mid.items():
-        by_left.setdefault(w, {})[b] = c
-    out: dict = {}
-    for w in sorted(by_left, key=key, reverse=True):
-        right = Polynomial(alphabet, fld, by_left[w])
-        # bracket_coordinates never returns a zero coordinate.
-        for w2, c in bracket_coordinates(right, gb).items():
-            out[(w, w2)] = c
-    return out
+    return t.map_legs(coordinates, coordinates).coeffs
 
 
 @dataclass

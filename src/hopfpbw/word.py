@@ -238,12 +238,12 @@ def words_of_degree(alphabet: Alphabet, n: int, prune=None) -> list[Word]:
     return out
 
 
-def count_words_by_degree(alphabet: Alphabet, max_degree: int, prune=None) -> list[int]:
+def count_words_by_degree(alphabet: Alphabet, max_degree: int, prune) -> list[int]:
     """Number of words of each degree ``0..max_degree``, in one search.
 
     Counts exactly the words ``words_of_degree`` returns for each degree:
-    ``prune`` is the same optional predicate on partial words, and the
-    subtree of a word it holds for is neither counted nor visited.
+    ``prune`` is the same predicate on partial words, and the subtree of a
+    word it holds for is neither counted nor visited.
     """
     degrees = alphabet.degrees
     counts = [0] * (max_degree + 1)
@@ -255,6 +255,6 @@ def count_words_by_degree(alphabet: Alphabet, max_degree: int, prune=None) -> li
             if d + e > max_degree:   # letters are sorted by degree
                 break
             v = w + (i,)
-            if prune is None or not prune(v):
+            if not prune(v):
                 stack.append((v, d + e))
     return counts

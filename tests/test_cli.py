@@ -10,11 +10,14 @@ import pytest
 
 from hopfpbw import (
     Alphabet,
+    Comultiplication,
     ExpressionError,
     Polynomial,
     Presentation,
     PrimeField,
     QQ,
+    check_coassoc_counit,
+    compute_truncated_gb,
     extract_ihoe,
     parse_polynomial,
     parse_tensor,
@@ -289,6 +292,32 @@ def test_hopf_check_states_no_antipode_above_the_bound(tmp_path):
     assert code == 1
     assert "verdict: FAIL coassociativity and counit | coassociativity fails on y\n" in text
     assert "antipodes" not in report
+
+
+def test_hopf_check_judges_an_image_term_above_the_bound(tmp_path):
+    # The leg x^4 lies above the bound 2.  The laws reduce legs without a
+    # bound check, so coassociativity fails on y and the run is not refused.
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+        "relations": [],
+        "comultiplication": {"y": "1#y + y#1 + x*x*x*x#x"},
+        "degree_bound": 2,
+    }), encoding="utf-8")
+    code, report, text = run(["hopf-check", str(path)])
+    assert code == 1
+    assert [line for line in text.splitlines() if line.startswith("verdict:")] == [
+        "verdict: FAIL triangular (graded triangular) | "
+        "y: term x^4#x of degree 5 exceeds deg(y) = 1",
+        "verdict: PASS stability",
+        "verdict: FAIL coassociativity and counit | coassociativity fails on y",
+        "verdict: FAIL antipode law | refused: coassociativity, counit or stability failed",
+    ]
+    assert "antipodes" not in report
+    alphabet, field, relations, images, _digest, bound = parse_presentation(str(path))
+    gb = compute_truncated_gb(alphabet, field, relations, bound)
+    law = check_coassoc_counit(Comultiplication(alphabet, field, images), gb, 2)
+    assert not law.ok and law.details == ["coassociativity fails on y"]
 
 
 @pytest.mark.parametrize("field", [[], ["--field", "Fp:7"]])

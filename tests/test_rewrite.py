@@ -759,6 +759,63 @@ def test_bracket_coordinates_with_fractional_brackets():
     assert any(a.denominator > 1 for nf in brackets.values() for a in nf.values())
 
 
+TENSOR_GBS = {
+    (system, field): (heis_gb(6, field) if system == "heisenberg" else
+                      compute_truncated_gb(SKLYANIN, field,
+                                           sklyanin_relations(*SKLYANIN_DRAWS[0], field), 6))
+    for system in ("heisenberg", "sklyanin") for field in (QQ, PrimeField(7))
+}
+
+
+@st.composite
+def _tensors(draw, alphabet, field):
+    """A tensor with up to five terms of total degree <= 6."""
+    scalars = (st.fractions(-4, 4, max_denominator=6) if field.char == 0
+               else st.integers(1, field.char - 1))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        left = draw(st.integers(0, 6))
+        right = draw(st.integers(0, 6 - left))
+        key = (draw(st.sampled_from(words_of_degree(alphabet, left))),
+               draw(st.sampled_from(words_of_degree(alphabet, right))))
+        coeffs[key] = field.of_fraction(draw(scalars))
+    return TensorElement(alphabet, field, coeffs)
+
+
+@pytest.mark.parametrize("system, field", list(TENSOR_GBS), ids=repr)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_bracket_coordinates_match_reference(system, field, data):
+    # (NF (x) NF)(t) = sum c NF([w]) (x) NF([w']), both sides from the
+    # reference oracles, on irreducible coordinate words in canonical order.
+    gb = TENSOR_GBS[system, field]
+    alphabet, p = gb.alphabet, field.char or None
+    elements = [g.coeffs for g in gb.elements]
+
+    def nf(coeffs):
+        return reference_reduce(alphabet.degrees, elements, coeffs, p)
+
+    def scalar(c):
+        return c % p if p else c
+
+    t = data.draw(_tensors(alphabet, field))
+    coords = tensor_bracket_coordinates(t, gb)
+    assert all(not gb.is_reducible_word(w) for pair in coords for w in pair)
+    assert list(coords) == sorted(coords, reverse=True, key=lambda pair: (
+        alphabet.glex_key(pair[0]), alphabet.glex_key(pair[1])))
+    _assert_scalars_normal(field, coords)
+    rebuilt, expected = {}, {}
+    for (w, w2), c in coords.items():
+        for u, a in nf(reference_bracket(w, p)).items():
+            for v, b in nf(reference_bracket(w2, p)).items():
+                rebuilt[u, v] = scalar(rebuilt.get((u, v), 0) + c * a * b)
+    for (a, b), c in t.coeffs.items():
+        for u, x in nf({a: 1}).items():
+            for v, y in nf({b: 1}).items():
+                expected[u, v] = scalar(expected.get((u, v), 0) + c * x * y)
+    assert {k: c for k, c in rebuilt.items() if c} == {k: c for k, c in expected.items() if c}
+
+
 SKLYANIN_LEADING_WORDS = (
     "zx zy zz yyx yyz yxyy yyyy yxyxx yxyxy yxyxz yxxyxx yxxyxz yxxyyy yxxxyxy yxxxyyy "
     "yxxyxyx yxxyxyz yxxxxyyy yxxxyxxx yxxxyxxy yxxxyxxz yxxxxxyyy yxxxxyxxx yxxxxyxxz "
