@@ -14,6 +14,7 @@ every verdict passes, 1 when a verdict fails, 2 on input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -470,6 +471,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache   # built on the first ``run``, then shared by every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfpbw",

@@ -4,16 +4,16 @@ Polynomials are finitely supported scalar mappings on words, tensor elements
 the same on pairs of words, and both rest on one sparse-combination core,
 ``_Combination``: the sorting constructor, equality, degree, homogeneous
 components, sum, difference, scaling, product and linear extension are
-written once.  Each class supplies four per-key hooks: its sort order
-(``_key_order``), the degree of a key (``_key_degree``), the unit key
-(``_UNIT_KEY``) and the product of two keys (``_key_product``); a polynomial
-reads its degree off its leading word instead of scanning.  Scalars are
-those of the field (see ``fields``): over Q an ``int`` when integral and a
-``Fraction`` otherwise, over F_p a residue; a zero scalar is never stored.
-Support iteration order is canonical: graded-lex descending, leg by leg for
-pairs, so a polynomial's leading word is its first key; the constructor sorts
-once, and code that already holds a canonical mapping passes
-``_normalized=True``.
+written once.  Each class supplies four per-key hooks: its sort key, read
+from the alphabet's table of graded lex keys (``_sort_key``), the degree of
+a key (``_key_degree``), the unit key (``_UNIT_KEY``) and the product of two
+keys (``_key_product``); a polynomial reads its degree off its leading word
+instead of scanning.  Scalars are those of the field (see ``fields``): over
+Q an ``int`` when integral and a ``Fraction`` otherwise, over F_p a residue;
+a zero scalar is never stored.  Support iteration order is canonical:
+graded-lex descending, leg by leg for pairs, so a polynomial's leading word
+is its first key; the constructor sorts once, and code that already holds a
+canonical mapping passes ``_normalized=True``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class _Combination:
         self.field = field
         if not _normalized:
             support = sorted([k for k, c in coeffs.items() if c],
-                             key=partial(self._key_order, alphabet), reverse=True)
+                             key=self._sort_key(alphabet), reverse=True)
             coeffs = {k: coeffs[k] for k in support}
         self.coeffs = coeffs
 
@@ -105,16 +105,20 @@ class _Combination:
         if self.alphabet != other.alphabet:
             raise ValueError("operands over different alphabets")
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """``op`` (the field's ``add`` or ``sub``) applied key-wise, in one pass."""
         self._check_compatible(other)
-        add, zero = self.field.add, self.field.zero
+        zero = self.field.zero
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = add(out.get(k, zero), c)
+            out[k] = op(out.get(k, zero), c)
         return type(self)(self.alphabet, self.field, out)
 
+    def __add__(self, other):
+        return self._merge(other, self.field.add)
+
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
+        return self._merge(other, self.field.sub)
 
     def __neg__(self):
         return self.scale(self.field.neg(self.field.one))
@@ -155,7 +159,7 @@ class Polynomial(_Combination):
 
     __slots__ = ()
     _UNIT_KEY = ()
-    _key_order = staticmethod(Alphabet.glex_key)
+    _sort_key = staticmethod(operator.attrgetter("glex_key"))
     _key_degree = staticmethod(Alphabet.degree)
     _key_product = staticmethod(operator.add)     # concatenation of words
 
@@ -203,8 +207,8 @@ class TensorElement(_Combination):
     _UNIT_KEY = ((), ())
 
     @staticmethod
-    def _key_order(alphabet, p):
-        return (alphabet.glex_key(p[0]), alphabet.glex_key(p[1]))
+    def _sort_key(alphabet):
+        return lambda p, key=alphabet.glex_key: (key(p[0]), key(p[1]))
 
     @staticmethod
     def _key_degree(alphabet, p):

@@ -18,6 +18,27 @@ Word = tuple  # tuple of letter indices
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+class _GlexKeys(dict):
+    """Word -> its sort key for the graded lex order (ascending),
+    ``(degree, word)``, computed on the first lookup and kept.
+
+    No word is a proper prefix of another word of the same degree, so
+    within one degree plain tuple order is the lex order.  Read through its
+    bound ``__getitem__``, the key of a known word costs no Python frame.
+    It holds only the words looked up, i.e. sorted, and lives and dies with
+    its ``Alphabet`` (one per presentation), so it needs no cap.
+    """
+
+    __slots__ = ("_degree_of",)
+
+    def __init__(self, degree_of):
+        self._degree_of = degree_of
+
+    def __missing__(self, w):
+        key = self[w] = (sum(map(self._degree_of, w)), w)
+        return key
+
+
 class Alphabet:
     """A finite well-ordered alphabet of graded generators.
 
@@ -45,6 +66,7 @@ class Alphabet:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.size = len(self.names)
         self._degree_of = self.degrees.__getitem__
+        self.glex_key = _GlexKeys(self._degree_of).__getitem__
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.declaration == other.declaration
@@ -73,14 +95,6 @@ class Alphabet:
         """Sort key realizing the reversed-prefix lex order (ascending)."""
         # Right-padding with a maximal sentinel makes proper prefixes larger.
         return (*w, self.size)
-
-    def glex_key(self, w: Word):
-        """Sort key for the graded lex order (ascending).
-
-        No word is a proper prefix of another word of the same degree, so
-        within one degree plain tuple order is the lex order.
-        """
-        return (self.degree(w), w)
 
     def glex_descending_key(self, w: Word):
         """Sort key for the graded lex order, descending: ascending by this

@@ -5,6 +5,7 @@ per criterion.  Each criterion carries its stated wall-clock budget.
 """
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -322,3 +323,16 @@ def test_criterion_11_free2_verification_at_bound_10():
     ok &= len(report["verdicts"]) == 5 and all(v["pass"] for v in report["verdicts"])
     ok &= report["hilbert"] == [2 ** n for n in range(11)]
     _report(11, "free2 verification at D = 10", ok, time.monotonic() - start, 2)
+
+
+def test_criterion_12_longest_lyndon_bracket_under_the_letter_cap():
+    # [x2 x1^199] = sum_k (-1)^k C(199, k) x1^k x2 x1^(199-k): 200 terms
+    start = time.monotonic()
+    code, report, _ = run(["lyndon", "bracket", "x2" + " x1" * 199, "--gens", "x1,x2"])
+    ok = code == 0
+    pair = Alphabet([("x1", 1), ("x2", 1)])
+    bracket = parse_polynomial(report["bracket"], pair, QQ)
+    ok &= bracket == Polynomial(pair, QQ, {
+        (0,) * k + (1,) + (0,) * (199 - k): (-1) ** k * math.comb(199, k) for k in range(200)})
+    ok &= len(bracket.coeffs) == 200
+    _report(12, "bracket of x2 x1^199 under the 200-letter cap", ok, time.monotonic() - start, 3)

@@ -320,6 +320,37 @@ def test_hopf_check_judges_an_image_term_above_the_bound(tmp_path):
     assert not law.ok and law.details == ["coassociativity fails on y"]
 
 
+_IMAGE_ABOVE_BOUND_HEAD = (
+    "bound: 2\n"
+    "presentation: a9cbb1ed5ea147aa\n"
+    "field: Q\n"
+    "verdict: FAIL triangular (graded triangular) | y: term x^4#x of degree 5 exceeds deg(y) = 1\n"
+    "verdict: FAIL stability | Delta(y^2) reaches degree 10 above the bound 2; not certified\n")
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("verify", ""),
+    ("hilbert", ""),
+    ("hopf-check",
+     "verdict: FAIL coassociativity and counit | coassociativity fails on y\n"
+     "verdict: FAIL antipode law | refused: coassociativity, counit or stability failed\n"),
+])
+def test_stability_fails_on_a_basis_coproduct_above_the_bound(command, tail, tmp_path, capsys):
+    # Delta(y*y) has the term x^4*x^4 # x*x of degree 10 > 2: stability is
+    # not certified there, so it fails instead of refusing the run.
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+        "relations": ["y*y"],
+        "comultiplication": {"y": "1#y + y#1 + x*x*x*x#x"},
+        "degree_bound": 2,
+    }), encoding="utf-8")
+    code, report, text = run([command, str(path)])
+    assert code == 1 and capsys.readouterr().err == ""
+    assert text == f"command: {command}\n" + _IMAGE_ABOVE_BOUND_HEAD + tail
+    assert [v["pass"] for v in report["verdicts"]] == [False] * (4 if tail else 2)
+
+
 @pytest.mark.parametrize("field", [[], ["--field", "Fp:7"]])
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
 def test_hilbert_checks_no_pbw_condition(name, field, monkeypatch):
@@ -477,6 +508,23 @@ def test_unknown_subcommand_usage_error(capsys):
     assert code == 2
     assert report is None
     capsys.readouterr()
+
+
+def test_parser_built_once_serves_a_valid_command_after_a_usage_error(tmp_path, capsys):
+    from hopfpbw.cli import _build_parser
+
+    def verify(out):
+        code, report, text = run(["verify", fixture("heisenberg.json"), "--json", str(out)])
+        return code, report, text, out.read_bytes()
+
+    _build_parser.cache_clear()
+    alone = verify(tmp_path / "alone.json")
+    _build_parser.cache_clear()
+    assert run(["frobnicate", fixture("heisenberg.json")]) == (2, None, "")
+    capsys.readouterr()
+    after = verify(tmp_path / "after.json")
+    assert after == alone
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_json_report_schema(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpbw import (
     Alphabet,
@@ -112,6 +113,55 @@ def _check_tensor_arithmetic(f, g, h, c):
         _assert_canonical_tensor(part)
         assert part.degree() == n
     assert sum(parts.values(), TensorElement.zero(f.alphabet, f.field)) == f * g
+
+
+# Letters declared out of degree order, so the alphabet reindexes them.
+MIXED = Alphabet([("b", 2), ("a", 1), ("c", 3), ("d", 1)])
+_MIXED_WORDS = list(graded_words(MIXED.degrees, 4))
+_MIXED_LEGS = list(graded_words(MIXED.degrees, 2))
+
+
+def _recomputed_glex_key(w):
+    return (sum(MIXED.degrees[i] for i in w), w)
+
+
+def _combinations(cls, field):
+    """Small random polynomials or tensor elements over ``MIXED``; few keys
+    and small scalars, zero included, so that sums and products cancel."""
+    keys = (st.sampled_from(_MIXED_WORDS) if cls is Polynomial
+            else st.tuples(st.sampled_from(_MIXED_LEGS), st.sampled_from(_MIXED_LEGS)))
+    scalars = st.fractions(-3, 3, max_denominator=4)
+    return st.dictionaries(keys, scalars, max_size=6).map(
+        lambda coeffs: cls(MIXED, field, {k: field.of_fraction(c) for k, c in coeffs.items()}))
+
+
+_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+_CLASSES = pytest.mark.parametrize("cls", [Polynomial, TensorElement],
+                                   ids=["polynomial", "tensor"])
+
+
+@_FIELDS
+@_CLASSES
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_difference_equals_sum_with_the_negation(cls, field, data):
+    f, g = data.draw(_combinations(cls, field)), data.draw(_combinations(cls, field))
+    difference, reference = f - g, f + g.scale(-1)
+    assert difference == reference
+    assert list(difference.coeffs.items()) == list(reference.coeffs.items())
+
+
+@_FIELDS
+@_CLASSES
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_order_is_glex_descending_by_recomputed_keys(cls, field, data):
+    key = (_recomputed_glex_key if cls is Polynomial
+           else lambda p: (_recomputed_glex_key(p[0]), _recomputed_glex_key(p[1])))
+    f, g = data.draw(_combinations(cls, field)), data.draw(_combinations(cls, field))
+    for h in (f, g, f + g, f - g, g - f, f * g):
+        keys = list(h.coeffs)
+        assert keys == sorted(keys, key=key, reverse=True)
 
 
 def test_prime_field_agrees_with_reduction():

@@ -77,6 +77,27 @@ def test_glex_key_agrees_with_compare():
         assert compare_glex(graded, u, v) == LESS
 
 
+def _mixed_alphabet():
+    return Alphabet([("x1", 1), ("x2", 1), ("x3", 2), ("x4", 3)])
+
+
+def test_glex_key_table_gives_degree_and_word_cold_and_warm():
+    words = list(graded_words((1, 1, 2, 3), 7))
+    alphabet = _mixed_alphabet()
+    for w in words + words:   # a fresh table, then the same words again
+        assert alphabet.glex_key(w) == (sum(alphabet.degrees[i] for i in w), w)
+    # a word looked up warm returns the stored key itself
+    assert all(alphabet.glex_key(w) is alphabet.glex_key(w) for w in words)
+
+
+def test_glex_key_table_leaves_equality_and_hash_alone():
+    warm, cold = _mixed_alphabet(), _mixed_alphabet()
+    for w in graded_words((1, 1, 2, 3), 5):
+        warm.glex_key(w)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {warm: 1}[cold] == 1
+
+
 def test_is_lyndon_examples():
     assert is_lyndon((X1,)) and is_lyndon((X2,))
     assert is_lyndon((X2, X1))
