@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .poly import Polynomial, TensorElement, binomial, standard_bracket
+from .poly import Polynomial, TensorElement, binomial, primitive_part, standard_bracket
 from .rewrite import OutOfCertifiedRange, TruncatedGB, bracket_coordinates, tensor_bracket_coordinates
 from .word import factors_below, is_lyndon, lyndon_decomposition
 from .expressions import render_polynomial, render_tensor, render_word
@@ -52,7 +52,7 @@ class Comultiplication:
             if idx not in table:
                 if not fill_primitive:
                     raise ValueError(f"missing comultiplication image for generator {alphabet.names[idx]!r}")
-                table[idx] = _primitive_image(alphabet, field, idx)
+                table[idx] = primitive_part(Polynomial.from_word(alphabet, field, (idx,)))
         self.images = table
 
     @classmethod
@@ -62,9 +62,13 @@ class Comultiplication:
     def image(self, letter: int) -> TensorElement:
         return self.images[letter]
 
+    def reduced_image(self, letter: int) -> TensorElement:
+        """``Delta'(x) = Delta(x) - P(x)``: the image less ``x (x) 1 + 1 (x) x``."""
+        x, one = (letter,), self.field.one
+        return self.images[letter] - TensorElement(self.alphabet, self.field, {(x, ()): one, ((), x): one})
+
     def is_standard(self) -> bool:
-        return all(self.images[i] == _primitive_image(self.alphabet, self.field, i)
-                   for i in range(self.alphabet.size))
+        return not any(map(self.reduced_image, range(self.alphabet.size)))
 
     def of_word(self, w) -> TensorElement:
         if not w:
@@ -76,11 +80,6 @@ class Comultiplication:
 
     def of_poly(self, f: Polynomial) -> TensorElement:
         return f.extend_linearly(self.of_word, TensorElement)
-
-
-def _primitive_image(alphabet, field, idx) -> TensorElement:
-    x = (idx,)
-    return TensorElement(alphabet, field, {((), x): field.one, (x, ()): field.one})
 
 
 def extend_comultiplication(images, f: Polynomial) -> TensorElement:
@@ -103,8 +102,7 @@ def check_triangular(comul: Comultiplication, graded: bool = True) -> CheckRepor
     for x in range(alphabet.size):
         name = alphabet.names[x]
         dx = alphabet.degrees[x]
-        rest = comul.image(x) - _primitive_image(alphabet, field, x)
-        for n, part in rest.homogeneous_components().items():
+        for n, part in comul.reduced_image(x).homogeneous_components().items():
             if n > dx:
                 details.append(
                     f"{name}: term {render_tensor(part)} of degree {n} exceeds deg({name}) = {dx}")
@@ -224,13 +222,17 @@ class Antipode:
         self.gb = gb
         alphabet, field = comul.alphabet, comul.field
         self._letters = {}
-        for x in range(alphabet.size):
-            poly_x = Polynomial.from_word(alphabet, field, (x,))
-            rest = comul.image(x) - _primitive_image(alphabet, field, x)
-            acc = -poly_x
-            for (a, b), c in rest.coeffs.items():
-                acc = acc - (self._of_word(a) * Polynomial.from_word(alphabet, field, b)).scale(c)
-            self._letters[x] = gb._reduce(acc)
+        for x in range(alphabet.size):   # m(S (x) id) Delta(x) = 0 solved for S(x)
+            rest = comul.reduced_image(x).extend_linearly(self._s_id, Polynomial)
+            self._letters[x] = gb._reduce(-Polynomial.from_word(alphabet, field, (x,)) - rest)
+
+    def _s_id(self, pair) -> Polynomial:
+        """``m(S (x) id)`` on the key ``a (x) b``: ``S(a) b``."""
+        return self._of_word(pair[0]) * Polynomial.from_word(self.comul.alphabet, self.comul.field, pair[1])
+
+    def _id_s(self, pair) -> Polynomial:
+        """``m(id (x) S)`` on the key ``a (x) b``: ``a S(b)``."""
+        return Polynomial.from_word(self.comul.alphabet, self.comul.field, pair[0]) * self._of_word(pair[1])
 
     def _of_word(self, w) -> Polynomial:
         out = Polynomial.one(self.comul.alphabet, self.comul.field)
@@ -247,18 +249,11 @@ class Antipode:
     def convolution_check(self, max_degree: int) -> CheckReport:
         """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` up to ``max_degree``."""
         gb, comul = self.gb, self.comul
-        alphabet, field = comul.alphabet, comul.field
-        add, mul, zero = field.add, field.mul, field.zero
         details = []
         for x in _irreducible_letters(gb, max_degree):
-            left, right = {}, {}    # S(a) b and a S(b), summed over Delta(x)
-            for (a, b), c in comul.image(x).coeffs.items():
-                for u, y in self._of_word(a).coeffs.items():
-                    left[u + b] = add(left.get(u + b, zero), mul(c, y))
-                for u, y in self._of_word(b).coeffs.items():
-                    right[a + u] = add(right.get(a + u, zero), mul(c, y))
-            if gb._reduce(Polynomial(alphabet, field, left)) or gb._reduce(Polynomial(alphabet, field, right)):
-                details.append(f"antipode law fails on {alphabet.names[x]}")
+            dx = comul.image(x)
+            if any(gb._reduce(dx.extend_linearly(m, Polynomial)) for m in (self._s_id, self._id_s)):
+                details.append(f"antipode law fails on {comul.alphabet.names[x]}")
         return CheckReport(name="antipode law", ok=not details, details=details)
 
 

@@ -258,7 +258,7 @@ def multiply(f, g):
     return f * g
 
 
-def commutator(f: Polynomial, g: Polynomial) -> Polynomial:
+def commutator(f, g):
     return f * g - g * f
 
 
@@ -269,14 +269,14 @@ def leading_word(f: Polynomial) -> Word:
 # -- standard bracketing ---------------------------------------------------
 
 
-def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None, leaf=None):
+def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None, comul=None):
     """``[w]`` by Shirshov recursion: ``[x] = x``; for ``w = lr`` split by
     ``shirshov_factorization``, ``[l][r] - [r][l]`` if ``w`` is Lyndon, else
-    ``[l][r]``.  A word of length <= 1 has the value ``leaf(w)``, by default
-    ``w``; with an algebra map's ``of_word`` the walk builds the image of ``[w]``.
-    Each value, leaves included, goes through ``reduce`` if given and into
-    ``memo``; a reduction multiplicative on the words met (NF below the bound
-    of a complete system) thus never builds ``[w]``."""
+    ``[l][r]``.  With a comultiplication ``comul`` and ``w`` Lyndon, each value
+    is the pair ``([v], Delta'[v])``, ``Delta' = Delta - P`` (``_reduced_bracket``).
+    Each value goes through ``reduce`` if given and into ``memo``; a reduction
+    multiplicative on the words met (NF below the bound of a complete system)
+    thus never builds ``[w]``."""
     if w in memo:
         return memo[w]
     stack = [w]   # a post-order walk: a word is revisited once its halves are known
@@ -285,16 +285,37 @@ def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=Non
         if v in memo:
             continue
         if len(v) <= 1:
-            value = leaf(v) if leaf else Polynomial.from_word(alphabet, field, v)
+            value = Polynomial.from_word(alphabet, field, v)
+            value = value if comul is None else (value, comul.reduced_image(v[0]))
         else:
             left, right = shirshov_factorization(v)
             if left not in memo or right not in memo:
                 stack += [v, right, left]
                 continue
             bl, br = memo[left], memo[right]
-            value = bl * br - br * bl if is_lyndon(v) else bl * br
+            value = (_reduced_bracket(bl, br) if comul is not None
+                     else bl * br - br * bl if is_lyndon(v) else bl * br)
         memo[v] = value if reduce is None else reduce(value)
     return memo[w]
+
+
+def _reduced_bracket(left, right):
+    """``([lr], Delta'[lr])`` from the pairs of ``l`` and ``r``: ``[P(a), P(b)] =
+    P([a, b])``, so ``Delta'[lr] = [Delta[l], Delta'[r]] + [Delta'[l], P([r])]``,
+    and a half with ``Delta' = 0`` forms no tensor product."""
+    (bl, dl), (br, dr) = left, right
+    delta = TensorElement.zero(bl.alphabet, bl.field)
+    if dr:
+        delta = commutator(primitive_part(bl) + dl, dr)
+    if dl:
+        delta = delta + commutator(dl, primitive_part(br))
+    return commutator(bl, br), delta
+
+
+def primitive_part(f: Polynomial) -> TensorElement:
+    """``P(f) = f (x) 1 + 1 (x) f``, the standard coproduct of a Lie polynomial."""
+    one = Polynomial.one(f.alphabet, f.field)
+    return TensorElement.of(f, one) + TensorElement.of(one, f)
 
 
 def standard_bracket(alphabet: Alphabet, w: Word, field=None) -> Polynomial:

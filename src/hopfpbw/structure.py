@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
-from .poly import Polynomial, TensorElement, _shirshov_bracket, commutator
+from .poly import _shirshov_bracket, commutator
 from .rewrite import (
     OutOfCertifiedRange,
     TruncatedGB,
@@ -144,15 +144,14 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.z_table = {u: _nf_bracket(gb, u) for u in gamma}
     report.commutators = _commutator_coordinates(gb, gamma)
 
-    # Condition (1): coproduct membership per generator.  Delta(z_u) has the
-    # coordinates of Delta([u]), which the bracket walk builds from the letters:
-    # [u] - z_u lies in the stable ideal I, and leg-wise NF removes I(x)A + A(x)I.
-    one, memo = Polynomial.one(alphabet, field), {}
-    details1 = []
-    for u, z in report.z_table.items():
-        delta = _shirshov_bracket(alphabet, field, u, memo, leaf=comul.of_word)
-        rest = delta - TensorElement.of(one, z) - TensorElement.of(z, one)
-        for (w, w2), _c in tensor_bracket_coordinates(rest, gb).items():
+    # Condition (1): coproduct membership per generator.  Delta(z_u) - P(z_u)
+    # has the coordinates of Delta'[u] = Delta([u]) - P([u]), which the bracket
+    # walk builds from the letters: [u] - z_u lies in the stable ideal I, and
+    # leg-wise NF removes I(x)A + A(x)I.
+    memo, details1 = {}, []
+    for u in report.z_table:
+        _bracket, reduced = _shirshov_bracket(alphabet, field, u, memo, comul=comul)
+        for (w, w2), _c in tensor_bracket_coordinates(reduced, gb).items():
             if not w or not w2:
                 details1.append(
                     f"{render_word(alphabet, u)}: scalar tensor leg in coproduct remainder")

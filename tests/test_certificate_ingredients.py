@@ -23,7 +23,7 @@ from hopfpbw import (
     verify_structure_theorem,
 )
 from hopfpbw.cli import _parse_field, parse_presentation
-from hopfpbw.poly import _shirshov_bracket
+from hopfpbw.poly import _shirshov_bracket, primitive_part
 from hopfpbw.word import GREATER, compare_lex
 import hopfpbw.structure as structure
 
@@ -82,18 +82,37 @@ def test_commutator_table_equals_free_algebra_brackets(certified):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda spec: spec or "file")
 def test_bracket_walk_equals_the_expanded_coproduct(spec):
-    # Delta is an algebra map, so the Shirshov walk with the letter images as
-    # leaves gives Delta([w]) exactly, with any images and any relations.
+    # Delta is an algebra map and [P(a), P(b)] = P([a, b]), so the Shirshov walk
+    # of pairs ([w], Delta'[w]) gives Delta([w]) - P([w]) exactly, with any
+    # images and any relations.
     override = _parse_field(spec) if spec else None
     checked = 0
     for path in FIXTURES + BENCH_PRESENTATIONS:
         alphabet, field, _rels, images, _digest, bound = parse_presentation(path, override)
         comul, memo = Comultiplication(alphabet, field, images), {}
         for w in enumerate_lyndon(alphabet, min(7, bound)):
-            walk = _shirshov_bracket(alphabet, field, w, memo, leaf=comul.of_word)
-            assert walk == comul.of_poly(standard_bracket(alphabet, w, field)), (path.stem, w)
+            bw = standard_bracket(alphabet, w, field)
+            bracket, reduced = _shirshov_bracket(alphabet, field, w, memo, comul=comul)
+            assert bracket == bw, (path.stem, w)
+            assert reduced + primitive_part(bw) == comul.of_poly(bw), (path.stem, w)
             checked += 1
     assert checked > 200
+
+
+def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
+    # Every letter of free2 is primitive, so Delta' is 0 on every node of the
+    # walk; building Delta[u] would form two tensor products per bracket node.
+    alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
+    products, mul = [], TensorElement.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    report = verify_structure_theorem(Presentation(alphabet, field, rels, images, 8))
+    assert report.condition1.ok and len(report.gamma) == 71
+    assert products == []
 
 
 def _coproduct_remainder_coordinates(comul, gb, f):

@@ -25,13 +25,15 @@ from hopfpbw import (
     compute_truncated_gb,
     enumerate_lyndon,
     extend_comultiplication,
+    irreducible_lyndon_words,
     is_lie_polynomial,
     parse_polynomial,
     parse_tensor,
     standard_bracket,
     standard_comultiplication,
+    tensor_bracket_coordinates,
 )
-from hopfpbw.poly import _shirshov_bracket
+from hopfpbw.poly import _shirshov_bracket, primitive_part
 
 from helpers import (
     all_words,
@@ -377,16 +379,26 @@ def test_of_word_needs_no_recursion_depth():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
 def test_bracket_walk_equals_the_expanded_coproduct(field):
-    checked = 0
+    # Every seeded image, those that break the laws included: the walk of
+    # pairs ([w], Delta'[w]) gives Delta'[w] = Delta([w]) - P([w]) exactly.
+    checked = nonzero = coordinates = 0
     for label, seed, gb, _images, comul in _seeded_cases(field):
-        if not check_triangular(comul, graded=False).ok:
-            continue
         memo = {}
-        for w in enumerate_lyndon(ABC, min(7, gb.bound)):
-            walk = _shirshov_bracket(ABC, field, w, memo, leaf=comul.of_word)
-            assert walk == comul.of_poly(standard_bracket(ABC, w, field)), (label, seed, w)
+        for w in enumerate_lyndon(ABC, 6):
+            bw = standard_bracket(ABC, w, field)
+            bracket, reduced = _shirshov_bracket(ABC, field, w, memo, comul=comul)
+            assert bracket == bw and reduced + primitive_part(bw) == comul.of_poly(bw), (label, seed, w)
             checked += 1
-    assert checked > 100
+            nonzero += bool(reduced)
+        # Condition (1) takes the leg-wise coordinates of Delta'[u] for those
+        # of Delta([u]) - 1 (x) z_u - z_u (x) 1, as NF([u] - z_u) = 0.
+        for u in irreducible_lyndon_words(gb, gb.bound):
+            bracket, reduced = memo[u]
+            rest = comul.of_poly(bracket) - primitive_part(gb.normal_form(bracket))
+            coords = tensor_bracket_coordinates(reduced, gb)
+            assert coords == tensor_bracket_coordinates(rest, gb), (label, seed, u)
+            coordinates += bool(coords)
+    assert checked > 1000 and nonzero > 1000 and coordinates > 200
 
 
 def test_antipode_examples():
