@@ -64,8 +64,7 @@ class Comultiplication:
 
     def reduced_image(self, letter: int) -> TensorElement:
         """``Delta'(x) = Delta(x) - P(x)``: the image less ``x (x) 1 + 1 (x) x``."""
-        x, one = (letter,), self.field.one
-        return self.images[letter] - TensorElement(self.alphabet, self.field, {(x, ()): one, ((), x): one})
+        return self.images[letter] - primitive_part(Polynomial.from_word(self.alphabet, self.field, (letter,)))
 
     def is_standard(self) -> bool:
         return not any(map(self.reduced_image, range(self.alphabet.size)))

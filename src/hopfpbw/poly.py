@@ -269,14 +269,12 @@ def leading_word(f: Polynomial) -> Word:
 # -- standard bracketing ---------------------------------------------------
 
 
-def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None, comul=None):
+def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=None):
     """``[w]`` by Shirshov recursion: ``[x] = x``; for ``w = lr`` split by
     ``shirshov_factorization``, ``[l][r] - [r][l]`` if ``w`` is Lyndon, else
-    ``[l][r]``.  With a comultiplication ``comul`` and ``w`` Lyndon, each value
-    is the pair ``([v], Delta'[v])``, ``Delta' = Delta - P`` (``_reduced_bracket``).
-    Each value goes through ``reduce`` if given and into ``memo``; a reduction
-    multiplicative on the words met (NF below the bound of a complete system)
-    thus never builds ``[w]``."""
+    ``[l][r]``.  Each value goes through ``reduce`` if given and into ``memo``;
+    a reduction multiplicative on the words met (NF below the bound of a
+    complete system) thus never builds ``[w]``."""
     if w in memo:
         return memo[w]
     stack = [w]   # a post-order walk: a word is revisited once its halves are known
@@ -286,30 +284,15 @@ def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=Non
             continue
         if len(v) <= 1:
             value = Polynomial.from_word(alphabet, field, v)
-            value = value if comul is None else (value, comul.reduced_image(v[0]))
         else:
             left, right = shirshov_factorization(v)
             if left not in memo or right not in memo:
                 stack += [v, right, left]
                 continue
             bl, br = memo[left], memo[right]
-            value = (_reduced_bracket(bl, br) if comul is not None
-                     else bl * br - br * bl if is_lyndon(v) else bl * br)
+            value = bl * br - br * bl if is_lyndon(v) else bl * br
         memo[v] = value if reduce is None else reduce(value)
     return memo[w]
-
-
-def _reduced_bracket(left, right):
-    """``([lr], Delta'[lr])`` from the pairs of ``l`` and ``r``: ``[P(a), P(b)] =
-    P([a, b])``, so ``Delta'[lr] = [Delta[l], Delta'[r]] + [Delta'[l], P([r])]``,
-    and a half with ``Delta' = 0`` forms no tensor product."""
-    (bl, dl), (br, dr) = left, right
-    delta = TensorElement.zero(bl.alphabet, bl.field)
-    if dr:
-        delta = commutator(primitive_part(bl) + dl, dr)
-    if dl:
-        delta = delta + commutator(dl, primitive_part(br))
-    return commutator(bl, br), delta
 
 
 def primitive_part(f: Polynomial) -> TensorElement:

@@ -45,8 +45,7 @@ class TruncatedGB:
         self.alphabet = alphabet
         self.field = field
         self.bound = bound
-        self.elements: list[Polynomial] = []
-        self._keys: list = []             # glex keys (degree, word) of leading words, parallel
+        self.elements: list[Polynomial] = []   # glex ascending by leading word
         # (degree, length) -> {leading word: _integral(element)}, keys ascending
         self._lw_index: dict[tuple, dict] = {}
         self._nf_bracket_cache: dict = {}
@@ -59,11 +58,8 @@ class TruncatedGB:
 
     def _insert(self, g: Polynomial):
         lw = g.leading_word()
-        key = self.alphabet.glex_key(lw)
-        pos = bisect.bisect_left(self._keys, key)
-        self.elements.insert(pos, g)
-        self._keys.insert(pos, key)
-        group = (key[0], len(lw))
+        bisect.insort(self.elements, g, key=lambda h: self.alphabet.glex_key(h.leading_word()))
+        group = (g.degree(), len(lw))
         if group not in self._lw_index:   # keep the groups ascending
             self._lw_index[group] = {}
             self._lw_index = dict(sorted(self._lw_index.items()))
@@ -72,8 +68,8 @@ class TruncatedGB:
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
-        degree, lw = self._keys.pop(idx)
-        group = (degree, len(lw))
+        lw = g.leading_word()
+        group = (g.degree(), len(lw))
         del self._lw_index[group][lw]
         if not self._lw_index[group]:
             del self._lw_index[group]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
-from .poly import _shirshov_bracket, commutator
+from .poly import TensorElement, _shirshov_bracket, commutator, primitive_part
 from .rewrite import (
     OutOfCertifiedRange,
     TruncatedGB,
@@ -28,7 +28,8 @@ from .rewrite import (
     irreducible_lyndon_words,
     tensor_bracket_coordinates,
 )
-from .word import GREATER, compare_lex, enumerate_lyndon, factors_below, is_lyndon, lyndon_decomposition
+from .word import (GREATER, compare_lex, enumerate_lyndon, factors_below, is_lyndon,
+                   lyndon_decomposition, shirshov_factorization)
 
 
 class Presentation:
@@ -144,14 +145,10 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.z_table = {u: _nf_bracket(gb, u) for u in gamma}
     report.commutators = _commutator_coordinates(gb, gamma)
 
-    # Condition (1): coproduct membership per generator.  Delta(z_u) - P(z_u)
-    # has the coordinates of Delta'[u] = Delta([u]) - P([u]), which the bracket
-    # walk builds from the letters: [u] - z_u lies in the stable ideal I, and
-    # leg-wise NF removes I(x)A + A(x)I.
-    memo, details1 = {}, []
+    # Condition (1): coproduct membership per generator, in the order of gamma.
+    reduced, details1 = _reduced_coproducts(comul, gb, report.z_table), []
     for u in report.z_table:
-        _bracket, reduced = _shirshov_bracket(alphabet, field, u, memo, comul=comul)
-        for (w, w2), _c in tensor_bracket_coordinates(reduced, gb).items():
+        for (w, w2), _c in tensor_bracket_coordinates(reduced[u], gb).items():
             if not w or not w2:
                 details1.append(
                     f"{render_word(alphabet, u)}: scalar tensor leg in coproduct remainder")
@@ -182,6 +179,31 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
             "note: positive characteristic, counted the exponent-bounded family")
     report.condition3 = cond3
     return report
+
+
+def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, z_table: dict) -> dict:
+    """``{u: Delta'_u}`` over the irreducible Lyndon words, ``Delta' = Delta - P``:
+    a letter takes ``comul.reduced_image``, and ``u = lr`` (Shirshov) takes
+    ``[P(z_l) + Delta'_l, Delta'_r] + [Delta'_l, P(z_r)]``, with a term whose
+    ``Delta'`` half is 0 skipped; ``l`` and ``r`` are irreducible Lyndon words
+    of lower degree, so glex order meets them first.  As ``[P(a), P(b)] =
+    P([a, b])`` and ``z_w - [w]`` lies in the stable ideal ``I``, ``Delta'_u``
+    and ``Delta(z_u) - P(z_u)`` differ in ``I (x) A + A (x) I``: their leg-wise
+    coordinates agree."""
+    table = {}
+    for u in irreducible_lyndon_words(gb, gb.bound):
+        if len(u) == 1:
+            table[u] = comul.reduced_image(u[0])
+            continue
+        left, right = shirshov_factorization(u)
+        dl, dr = table[left], table[right]
+        delta = TensorElement.zero(gb.alphabet, gb.field)
+        if dr:
+            delta = commutator(primitive_part(z_table[left]) + dl, dr)
+        if dl:
+            delta = delta + commutator(dl, primitive_part(z_table[right]))
+        table[u] = delta
+    return table
 
 
 def _commutator_coordinates(gb: TruncatedGB, words) -> dict:

@@ -17,14 +17,16 @@ from hopfpbw import (
     commutator,
     enumerate_lyndon,
     extract_ihoe,
+    free_gb,
     irreducible_lyndon_words,
     standard_bracket,
     tensor_bracket_coordinates,
     verify_structure_theorem,
 )
 from hopfpbw.cli import _parse_field, parse_presentation
-from hopfpbw.poly import _shirshov_bracket, primitive_part
-from hopfpbw.word import GREATER, compare_lex
+from hopfpbw.poly import primitive_part
+from hopfpbw.rewrite import _nf_bracket
+from hopfpbw.word import GREATER, compare_lex, shirshov_factorization
 import hopfpbw.structure as structure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,21 +84,34 @@ def test_commutator_table_equals_free_algebra_brackets(certified):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda spec: spec or "file")
 def test_bracket_walk_equals_the_expanded_coproduct(spec):
-    # Delta is an algebra map and [P(a), P(b)] = P([a, b]), so the Shirshov walk
-    # of pairs ([w], Delta'[w]) gives Delta([w]) - P([w]) exactly, with any
-    # images and any relations.
+    # Delta is an algebra map and [P(a), P(b)] = P([a, b]), so over the free
+    # algebra, where z_w = [w], the table of condition (1) gives
+    # Delta([w]) - P([w]) exactly, with any images.
     override = _parse_field(spec) if spec else None
     checked = 0
     for path in FIXTURES + BENCH_PRESENTATIONS:
         alphabet, field, _rels, images, _digest, bound = parse_presentation(path, override)
-        comul, memo = Comultiplication(alphabet, field, images), {}
+        comul, free = Comultiplication(alphabet, field, images), free_gb(alphabet, field, min(7, bound))
+        z_table = {w: _nf_bracket(free, w) for w in irreducible_lyndon_words(free, free.bound)}
+        table = structure._reduced_coproducts(comul, free, z_table)
         for w in enumerate_lyndon(alphabet, min(7, bound)):
             bw = standard_bracket(alphabet, w, field)
-            bracket, reduced = _shirshov_bracket(alphabet, field, w, memo, comul=comul)
-            assert bracket == bw, (path.stem, w)
-            assert reduced + primitive_part(bw) == comul.of_poly(bw), (path.stem, w)
+            assert z_table[w] == bw, (path.stem, w)
+            assert table[w] + primitive_part(bw) == comul.of_poly(bw), (path.stem, w)
             checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_shirshov_factors_come_before_their_word(name):
+    # The condition (1) table is built in the order of irreducible_lyndon_words
+    # and reads both factors of each word from the entries already made.
+    gb = PRESENTATIONS[name].groebner()
+    words = irreducible_lyndon_words(gb, gb.bound)
+    position = {u: i for i, u in enumerate(words)}
+    for i, u in enumerate(words):
+        if len(u) >= 2:
+            assert all(position.get(f, i) < i for f in shirshov_factorization(u)), u
 
 
 def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
@@ -113,6 +128,29 @@ def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
     report = verify_structure_theorem(Presentation(alphabet, field, rels, images, 8))
     assert report.condition1.ok and len(report.gamma) == 71
     assert products == []
+
+
+def test_condition1_forms_no_bracket_outside_the_z_table(monkeypatch):
+    # Condition (1) reads z_u = NF([u]) from the z table, so verify forms the
+    # polynomial products of the z table and the commutator table and no more.
+    alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
+    pres = Presentation(alphabet, field, rels, images, 8)
+    products, mul = [], Polynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    verify_structure_theorem(pres)
+    in_verify = len(products)
+    products.clear()
+    gb = pres.groebner()   # a fresh basis, so no bracket is cached yet
+    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=alphabet.lex_key)
+    for u in gamma:
+        _nf_bracket(gb, u)
+    structure._commutator_coordinates(gb, gamma)
+    assert in_verify == len(products) > 0
 
 
 def _coproduct_remainder_coordinates(comul, gb, f):

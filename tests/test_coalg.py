@@ -25,6 +25,7 @@ from hopfpbw import (
     compute_truncated_gb,
     enumerate_lyndon,
     extend_comultiplication,
+    free_gb,
     irreducible_lyndon_words,
     is_lie_polynomial,
     parse_polynomial,
@@ -33,7 +34,10 @@ from hopfpbw import (
     standard_comultiplication,
     tensor_bracket_coordinates,
 )
-from hopfpbw.poly import _shirshov_bracket, primitive_part
+from hopfpbw.poly import primitive_part
+from hopfpbw.rewrite import _nf_bracket
+from hopfpbw.structure import _reduced_coproducts
+from hopfpbw.word import shirshov_factorization
 
 from helpers import (
     all_words,
@@ -379,26 +383,45 @@ def test_of_word_needs_no_recursion_depth():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
 def test_bracket_walk_equals_the_expanded_coproduct(field):
-    # Every seeded image, those that break the laws included: the walk of
-    # pairs ([w], Delta'[w]) gives Delta'[w] = Delta([w]) - P([w]) exactly.
+    # Every seeded image, those that break the laws included: over the free
+    # algebra, where z_w = [w], the table of condition (1) gives
+    # Delta'_w = Delta([w]) - P([w]) exactly.
+    free = free_gb(ABC, field, 6)
+    free_z = {w: _nf_bracket(free, w) for w in irreducible_lyndon_words(free, free.bound)}
     checked = nonzero = coordinates = 0
     for label, seed, gb, _images, comul in _seeded_cases(field):
-        memo = {}
+        table = _reduced_coproducts(comul, free, free_z)
         for w in enumerate_lyndon(ABC, 6):
             bw = standard_bracket(ABC, w, field)
-            bracket, reduced = _shirshov_bracket(ABC, field, w, memo, comul=comul)
-            assert bracket == bw and reduced + primitive_part(bw) == comul.of_poly(bw), (label, seed, w)
+            assert free_z[w] == bw and table[w] + primitive_part(bw) == comul.of_poly(bw), (label, seed, w)
             checked += 1
-            nonzero += bool(reduced)
-        # Condition (1) takes the leg-wise coordinates of Delta'[u] for those
-        # of Delta([u]) - 1 (x) z_u - z_u (x) 1, as NF([u] - z_u) = 0.
-        for u in irreducible_lyndon_words(gb, gb.bound):
-            bracket, reduced = memo[u]
+            nonzero += bool(table[w])
+        # On the quotient, Delta'_u built from z_u = NF([u]) has the leg-wise
+        # coordinates of Delta([u]) - 1 (x) z_u - z_u (x) 1, as NF([u] - z_u) = 0.
+        z_table = {u: _nf_bracket(gb, u) for u in irreducible_lyndon_words(gb, gb.bound)}
+        for u, reduced in _reduced_coproducts(comul, gb, z_table).items():
+            bracket = free_z[u]
             rest = comul.of_poly(bracket) - primitive_part(gb.normal_form(bracket))
             coords = tensor_bracket_coordinates(reduced, gb)
             assert coords == tensor_bracket_coordinates(rest, gb), (label, seed, u)
             coordinates += bool(coords)
     assert checked > 1000 and nonzero > 1000 and coordinates > 200
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=repr)
+def test_shirshov_factors_come_before_their_word(field):
+    # The condition (1) table is built in the order of irreducible_lyndon_words
+    # and reads both factors of each word from the entries already made.
+    checked = 0
+    for label, sources in _ABC_RELATIONS.items():
+        gb = compute_truncated_gb(ABC, field, [parse_polynomial(r, ABC, field) for r in sources], 6)
+        words = irreducible_lyndon_words(gb, gb.bound)
+        position = {u: i for i, u in enumerate(words)}
+        for i, u in enumerate(words):
+            if len(u) >= 2:
+                assert all(position.get(f, i) < i for f in shirshov_factorization(u)), (label, u)
+                checked += 1
+    assert checked > 80
 
 
 def test_antipode_examples():
