@@ -42,11 +42,7 @@ from .structure import (
     verify_quasi_lie,
     verify_structure_theorem,
 )
-from .word import (
-    Alphabet,
-    is_lyndon,
-    lyndon_decomposition,
-)
+from .word import Alphabet, is_lyndon, lyndon_decomposition
 
 
 class InputError(ValueError):
@@ -352,14 +348,9 @@ def _cmd_ihoe(args, pres, report):
             "generator": render_word(pres.alphabet, word),
             "degree": degree,
             "definition": render_polynomial(value),
-            "derivation": [],
+            "derivation": [{"on": f"z{j + 1}", "value": render_pbw_value(
+                tower.derivations[(i + 1, j + 1)], pres.field)} for j in range(i)],
         }
-        for j in range(i):
-            terms = tower.derivations[(i + 1, j + 1)]
-            entry["derivation"].append({
-                "on": f"z{j + 1}",
-                "value": render_pbw_value(terms, pres.field),
-            })
         levels.append(entry)
     report["tower"] = levels
 

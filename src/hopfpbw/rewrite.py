@@ -10,6 +10,11 @@ strictly inside it (away from both ends) is skipped unreduced: the system is
 complete below its degree, so by Bergman's diamond lemma the composition
 resolves through the pieces it splits into, each disjoint, nested or an
 overlap on a shorter word.
+
+Every question about words reads one Aho–Corasick automaton of the leading
+words, rebuilt on the first query after a basis change: a rewrite is one
+pass over the word, reducibility a final state, and the word searches and
+the dimension count step a state beside each prefix.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import gcd, lcm
 
 from .poly import Polynomial, TensorElement, _shirshov_bracket
-from .word import count_words_by_degree, is_lyndon, lyndon_words, words_of_degree
+from .word import is_lyndon, lyndon_words, words_of_degree
 
 
 class OutOfCertifiedRange(ValueError):
@@ -46,8 +51,8 @@ class TruncatedGB:
         self.field = field
         self.bound = bound
         self.elements: list[Polynomial] = []   # glex ascending by leading word
-        # (degree, length) -> {leading word: _integral(element)}, keys ascending
-        self._lw_index: dict[tuple, dict] = {}
+        self._lw_index: dict = {}               # leading word -> _integral(element)
+        self._automaton = None                  # built on demand, see _tables
         self._nf_bracket_cache: dict = {}
         self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
@@ -57,28 +62,27 @@ class TruncatedGB:
         return [g.leading_word() for g in self.elements]
 
     def _insert(self, g: Polynomial):
-        lw = g.leading_word()
         bisect.insort(self.elements, g, key=lambda h: self.alphabet.glex_key(h.leading_word()))
-        group = (g.degree(), len(lw))
-        if group not in self._lw_index:   # keep the groups ascending
-            self._lw_index[group] = {}
-            self._lw_index = dict(sorted(self._lw_index.items()))
-        self._lw_index[group][lw] = _integral(g.coeffs)
+        self._lw_index[g.leading_word()] = _integral(g.coeffs)
         self._basis_changed()
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
-        lw = g.leading_word()
-        group = (g.degree(), len(lw))
-        del self._lw_index[group][lw]
-        if not self._lw_index[group]:
-            del self._lw_index[group]
+        del self._lw_index[g.leading_word()]
         self._basis_changed()
         return g
 
     def _basis_changed(self):
+        self._automaton = None
         self._nf_bracket_cache.clear()
         self._irreducible_lyndon = None
+
+    def _tables(self):
+        """The automaton of the leading words, built on the first query
+        after a basis change (``_leading_word_automaton``)."""
+        if self._automaton is None:
+            self._automaton = _leading_word_automaton(self.leading_words(), self.alphabet.size)
+        return self._automaton
 
     # -- word-level reducibility ----------------------------------------------
 
@@ -86,31 +90,26 @@ class TruncatedGB:
         """True iff some basis leading word occurs as a factor of ``w``."""
         return self._find_rewrite(w) is not None
 
-    def _ends_in_leading_word(self, w) -> bool:
-        for (_, length), lws in self._lw_index.items():
-            if w[-length:] in lws:   # a word shorter than length is no key
-                return True
-        return False
+    def _find_rewrite(self, w, tables=None):
+        """The glex-smallest leading word that occurs in ``w``, the integral
+        form (``_integral``) of its element and its first position; or None.
 
-    def _find_rewrite(self, w):
-        """The first basis element, in ascending leading-word order, whose
-        leading word occurs in ``w``: that leading word, the element's
-        integral form (``_integral``) and the first position; or None.
-
-        The leading words are scanned by ascending degree and the first
-        degree with a factor of ``w`` decides, because graded lex compares
-        degrees first; within one degree it is plain tuple order, so the
-        smallest factor there wins without a ``glex_key``.
+        One pass of the automaton: each state names the smallest leading
+        word ending there, and a match replaces the one kept only when it is
+        strictly smaller, so of equal matches the first position stays.
         """
-        best = None
-        for (degree, length), lws in self._lw_index.items():
-            if best is not None and degree > best[0]:
-                break
-            for i in range(len(w) - length + 1):
-                lw = w[i:i + length]
-                if lw in lws and (best is None or lw < best[1]):  # repeats keep the first position
-                    best = (degree, lw, lws[lw], i)
-        return None if best is None else best[1:]
+        goto, _, rank, words = tables or self._tables()
+        best = len(words)
+        state = end = 0
+        for j, c in enumerate(w):
+            state = goto[state][c]
+            r = rank[state]
+            if r < best:
+                best, end = r, j
+        if best == len(words):
+            return None
+        lw = words[best]
+        return lw, self._lw_index[lw], end + 1 - len(lw)
 
     # -- reduction -------------------------------------------------------------
 
@@ -123,9 +122,10 @@ class TruncatedGB:
         """
         if not self.elements or not f.coeffs:
             return f
+        tables = self._tables()
 
         def rewrite(w):
-            found = self._find_rewrite(w)
+            found = self._find_rewrite(w, tables)
             if found is None:
                 return None
             lw, (scale, multiple), i = found
@@ -158,14 +158,27 @@ class TruncatedGB:
         """All irreducible words of degree exactly ``n``, lex ascending."""
         if n > self.bound:
             raise OutOfCertifiedRange(f"degree {n} exceeds bound {self.bound}")
-        if n == 0:
-            return [()]
-        return words_of_degree(self.alphabet, n, prune=self._ends_in_leading_word)
+        return words_of_degree(self.alphabet, n, self._tables()[:2])
 
     def dimensions(self) -> list[int]:
-        """Quotient dimensions per degree ``0..bound``, counted in one search
-        over the irreducible words."""
-        return count_words_by_degree(self.alphabet, self.bound, prune=self._ends_in_leading_word)
+        """Quotient dimensions per degree ``0..bound``: irreducible words
+        counted over (degree, automaton state), ``O(bound * states * letters)``;
+        ``counts[d][s]`` words of degree ``d`` end in the state ``s``."""
+        goto, final = self._tables()[:2]
+        degrees, bound = self.alphabet.degrees, self.bound
+        counts = [{} for _ in range(bound + 1)]
+        counts[0][0] = 1
+        for d, layer in enumerate(counts):
+            for s, n in layer.items():
+                row = goto[s]
+                for c, e in enumerate(degrees):
+                    if d + e > bound:   # letters are sorted by degree
+                        break
+                    t = row[c]
+                    if not final[t]:
+                        ahead = counts[d + e]
+                        ahead[t] = ahead.get(t, 0) + n
+        return [sum(layer.values()) for layer in counts]
 
     def height(self, u):
         """Least ``n`` with ``u**n`` reducible, or None if not observed."""
@@ -181,6 +194,38 @@ class TruncatedGB:
                 return n
             n += 1
         return None
+
+
+def _leading_word_automaton(words, size: int):
+    """``(goto, final, rank, words)``: the Aho–Corasick automaton (CACM 18,
+    1975) of ``words``, distinct nonempty words over ``size`` letters, glex
+    ascending.  State 0 is the empty word; ``goto[s][c]`` is the state of the
+    longest suffix of ``s c`` that is a prefix of a word.  ``rank[s]`` indexes
+    the glex-smallest word that is a suffix of state ``s``, else it is
+    ``len(words)``; ``final[s]`` says whether there is one."""
+    goto, rank = [[0] * size], [len(words)]
+    for r, lw in enumerate(words):   # the trie; 0 marks a missing edge
+        s = 0
+        for c in lw:
+            if not goto[s][c]:
+                goto[s][c] = len(goto)
+                goto.append([0] * size)
+                rank.append(len(words))
+            s = goto[s][c]
+        rank[s] = r
+    fail = [0] * len(goto)
+    queue = deque(t for t in goto[0] if t)
+    while queue:   # breadth first, so a suffix's row is complete before it is read
+        s = queue.popleft()
+        rank[s] = min(rank[s], rank[fail[s]])
+        row, back = goto[s], goto[fail[s]]
+        for c, t in enumerate(row):
+            if t:
+                fail[t] = back[c]
+                queue.append(t)
+            else:
+                row[c] = back[c]
+    return goto, [r < len(words) for r in rank], rank, words
 
 
 def _integral(coeffs: dict):
@@ -338,10 +383,8 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
 
 
 def _contains(w, factor) -> bool:
-    span = len(w) - len(factor)
-    if span < 0:
-        return False
-    return any(w[i:i + len(factor)] == factor for i in range(span + 1))
+    n = len(factor)
+    return any(w[i:i + n] == factor for i in range(len(w) - n + 1))
 
 
 def normal_form(f: Polynomial, gb: TruncatedGB) -> Polynomial:
@@ -363,7 +406,7 @@ def irreducible_lyndon_words(gb: TruncatedGB, max_degree: int) -> list:
         raise ValueError("max_degree must be >= 1")
     words = gb._irreducible_lyndon
     if words is None:
-        words = lyndon_words(gb.alphabet, gb.bound, prune=gb._ends_in_leading_word)
+        words = lyndon_words(gb.alphabet, gb.bound, gb._tables()[:2])
         words.sort(key=gb.alphabet.glex_key)
         gb._irreducible_lyndon = words
     degree = gb.alphabet.degree

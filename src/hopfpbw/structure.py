@@ -94,22 +94,16 @@ class StructureReport:
                 and self.condition1.ok and self.condition2.ok and self.condition3.ok)
 
     def verdicts(self) -> list[CheckReport]:
-        out = [self.triangular, self.stability]
-        for check in (self.condition1, self.condition2, self.condition3):
-            if check is not None:
-                out.append(check)
-        return out
+        conditions = (self.condition1, self.condition2, self.condition3)
+        return [self.triangular, self.stability, *(c for c in conditions if c is not None)]
 
 
 def _finiteness_flag(presentation: Presentation, gb: TruncatedGB, lyndon) -> str:
-    bound = gb.bound
-    window = max((r.degree() for r in presentation.relations), default=1)
-    window = max(window, 1)
-    low = bound - window
-    fresh = [u for u in lyndon if gb.alphabet.degree(u) > low]
-    if fresh:
-        return f"{NOT_FINITE_AT_BOUND} {bound}"
-    return f"{FINITE_AT_BOUND} {bound}"
+    """Not finite when a word of ``lyndon`` has degree above the bound less
+    the largest relation degree (1 without relations; each is >= 1)."""
+    low = gb.bound - max((r.degree() for r in presentation.relations), default=1)
+    fresh = any(gb.alphabet.degree(u) > low for u in lyndon)
+    return f"{NOT_FINITE_AT_BOUND if fresh else FINITE_AT_BOUND} {gb.bound}"
 
 
 def _pbw_data(presentation: Presentation):
@@ -318,25 +312,16 @@ def extract_ihoe(presentation: Presentation, report: StructureReport | None = No
         for j in range(i):
             terms = []
             for w, c in report.commutators[(gamma[i], gamma[j])].items():
-                exponents = [0] * d
-                bad = False
-                for factor in lyndon_decomposition(w):
-                    if factor not in allowed:
-                        bad = True
-                        break
-                    exponents[gamma.index(factor)] += 1
-                if bad:
+                factors = lyndon_decomposition(w)
+                if not allowed.issuperset(factors):
                     closure_details.append(
                         f"delta_{i + 1}(z{j + 1}) leaves the subalgebra: "
                         f"coordinate {render_word(alphabet, w)}")
                     continue
-                terms.append((tuple(exponents), c))
+                terms.append((tuple(map(factors.count, gamma)), c))
             derivations[(i + 1, j + 1)] = terms
-    membership = CheckReport(
-        "tower coproduct membership",
-        report.condition1.ok,
-        list(report.condition1.details),
-    )
+    membership = CheckReport("tower coproduct membership", report.condition1.ok,
+                             list(report.condition1.details))
     closure = CheckReport("derivations close below their level", not closure_details, closure_details)
     return OreTower(generators=generators, derivations=derivations,
                     membership=membership, closure=closure)
@@ -348,12 +333,8 @@ def render_pbw_value(terms, field) -> str:
         return "0"
     pieces = []
     for exponents, c in sorted(terms, key=lambda t: t[0]):
-        factors = []
-        for k, e in enumerate(exponents):
-            if e == 1:
-                factors.append(f"z{k + 1}")
-            elif e > 1:
-                factors.append(f"z{k + 1}^{e}")
+        factors = [f"z{k + 1}" if e == 1 else f"z{k + 1}^{e}"
+                   for k, e in enumerate(exponents) if e]
         word = "*".join(factors) if factors else "1"
         if c == field.one and factors:
             pieces.append(word)

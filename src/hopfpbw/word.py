@@ -199,76 +199,57 @@ def enumerate_lyndon(alphabet: Alphabet, max_degree: int) -> list[Word]:
     return found
 
 
-def lyndon_words(alphabet: Alphabet, max_degree: int, prune=None) -> list[Word]:
+def lyndon_words(alphabet: Alphabet, max_degree: int, avoid=None) -> list[Word]:
     """Lyndon words of degree <= ``max_degree``, unsorted.
 
     The search carries the Duval scan of each prefix: its period ``p`` (the
     length of its longest Lyndon prefix, repeated).  A letter larger than the
     one ``p`` places back ends the scan, so no extension of it is Lyndon and
     the subtree is dropped; a smaller letter makes the extension Lyndon; an
-    equal one keeps the period.  ``prune`` is an optional predicate on
-    prefixes, as in ``words_of_degree``: the subtree of a prefix it holds for
-    is skipped, so it must hold only where no extension is wanted.
+    equal one keeps the period.  ``avoid`` is an optional automaton of
+    factors to avoid, stepped beside each prefix as in ``words_of_degree``.
     """
     degrees = alphabet.degrees
+    goto, final = avoid or ([[0] * alphabet.size], [False])
     found = []
-    stack = [((), 0, max_degree)]   # prefix, period, degree left
+    stack = [((), 0, max_degree, 0)]   # prefix, period, degree left, state
     while stack:
-        w, p, budget = stack.pop()
+        w, p, budget, s = stack.pop()
         n = len(w)
         if n and p == n:
             found.append(w)
         top = w[n - p] if n else alphabet.size   # the root takes every letter
+        row = goto[s]
         for c, d in enumerate(degrees[:top + 1]):
             if d > budget:   # letters are sorted by degree
                 break
-            v = w + (c,)
-            if prune is None or not prune(v):
-                stack.append((v, p if c == top else n + 1, budget - d))
+            if not final[row[c]]:
+                stack.append((w + (c,), p if c == top else n + 1, budget - d, row[c]))
     return found
 
 
-def words_of_degree(alphabet: Alphabet, n: int, prune=None) -> list[Word]:
+def words_of_degree(alphabet: Alphabet, n: int, avoid=None) -> list[Word]:
     """All words of degree exactly ``n``, sorted by lex (ascending).
 
-    ``prune`` is an optional predicate on partial words; subtrees rooted at
-    words for which it returns True are skipped.
+    ``avoid`` is an optional automaton ``(goto, final)`` of factors to skip:
+    ``goto[s][c]`` steps state ``s`` (0 for the empty word) by the letter
+    ``c``, and a word whose state is final ends in such a factor.  Each
+    prefix carries its state, and the subtree of a final one is skipped.
     """
     degrees = alphabet.degrees
+    goto, final = avoid or ([[0] * alphabet.size], [False])
     out = []
-    stack = [((), n)]
+    stack = [((), n, 0)]   # word, degree left, state
     while stack:
-        w, budget = stack.pop()
+        w, budget, s = stack.pop()
         if budget == 0:
             out.append(w)
             continue
-        for i, d in enumerate(degrees):
+        row = goto[s]
+        for c, d in enumerate(degrees):
             if d > budget:   # letters are sorted by degree
                 break
-            v = w + (i,)
-            if prune is None or not prune(v):
-                stack.append((v, budget - d))
+            if not final[row[c]]:
+                stack.append((w + (c,), budget - d, row[c]))
     out.sort(key=alphabet.lex_key)
     return out
-
-
-def count_words_by_degree(alphabet: Alphabet, max_degree: int, prune) -> list[int]:
-    """Number of words of each degree ``0..max_degree``, in one search.
-
-    Counts exactly the words ``words_of_degree`` returns for each degree:
-    ``prune`` is the same predicate on partial words, and the subtree of a
-    word it holds for is neither counted nor visited.
-    """
-    degrees = alphabet.degrees
-    counts = [0] * (max_degree + 1)
-    stack = [((), 0)]   # word, its degree
-    while stack:
-        w, d = stack.pop()
-        counts[d] += 1
-        for i, e in enumerate(degrees):
-            if d + e > max_degree:   # letters are sorted by degree
-                break
-            v = w + (i,)
-            if not prune(v):
-                stack.append((v, d + e))
-    return counts

@@ -8,11 +8,20 @@ laws expanded on plain dicts, dense Fraction Gaussian elimination, partition
 counting, necklace counts and the Dynkin projection.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 
 from hopfpbw import Polynomial, commutator
 from hopfpbw.word import GREATER, compare_lex
+
+
+def stack_depth():
+    """The number of frames on the current call stack."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def all_words(n_letters, max_len):
@@ -80,6 +89,19 @@ def brute_irreducible_counts(degrees, leading_words, max_degree):
                    for lw in leading_words for i in range(len(w) - len(lw) + 1)):
             counts[sum(degrees[i] for i in w)] += 1
     return counts
+
+
+def brute_first_rewrite(degrees, leading_words, w):
+    """``(lw, i)``: the glex-smallest of ``leading_words`` that occurs in ``w``
+    and its first position, found by trying each at every position; or None."""
+    pad = len(degrees)
+    hits = [((sum(degrees[c] for c in lw), *lw, pad), i, lw)
+            for lw in leading_words for i in range(len(w) - len(lw) + 1)
+            if w[i:i + len(lw)] == lw]
+    if not hits:
+        return None
+    _, i, lw = min(hits)
+    return lw, i
 
 
 def reference_reduce(degrees, elements, coeffs, p=None):

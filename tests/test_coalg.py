@@ -45,6 +45,7 @@ from helpers import (
     is_lie_by_dynkin,
     reference_coassoc_counit,
     reference_coproduct,
+    stack_depth,
 )
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
@@ -363,17 +364,10 @@ def test_is_lie_polynomial_reads_bracket_coordinates(monkeypatch):
     assert not is_lie_polynomial(bracket + parse_polynomial("x1*x2", heis, QQ))
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_of_word_needs_no_recursion_depth():
     comul = Comultiplication.standard(Alphabet([("x", 1), ("y", 1)]), QQ)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
+    sys.setrecursionlimit(stack_depth() + 100)
     try:
         image = comul.of_word((0,) * 200)
     finally:

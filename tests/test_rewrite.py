@@ -2,6 +2,8 @@
 
 import gc
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,10 +29,12 @@ from hopfpbw import (
 )
 from hopfpbw.poly import TensorElement
 from hopfpbw.cli import parse_presentation
+from hopfpbw import rewrite
 from hopfpbw.rewrite import OutOfCertifiedRange, TruncatedGB, _eliminate, _nf_bracket
 from hopfpbw.word import words_of_degree
 
 from helpers import (
+    brute_first_rewrite,
     brute_irreducible_counts,
     brute_irreducible_lyndon,
     echelon_rank,
@@ -38,6 +42,7 @@ from helpers import (
     ideal_dimension_oracle,
     reference_bracket,
     reference_reduce,
+    stack_depth,
     unresolved_compositions,
 )
 
@@ -871,3 +876,132 @@ def test_nf_bracket_of_a_long_word_needs_no_recursion_depth():
     two = Alphabet([("x", 1), ("y", 1)])
     gb = compute_truncated_gb(two, QQ, [parse_polynomial("x*x", two, QQ)], 1200)
     assert _nf_bracket(gb, (1,) + (0,) * 1199).is_zero()
+
+
+# -- the leading-word automaton ---------------------------------------------------
+
+
+@st.composite
+def _leading_word_sets(draw):
+    """An alphabet of 2-3 letters of degree 1-3 and a set of leading words
+    that is not interreduced: words, their factors, their extensions on the
+    left (shared suffixes) and their squares (self-overlapping repeats)."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    alphabet = Alphabet([(f"x{i}", d) for i, d in enumerate(degrees)])
+    letters = st.integers(0, alphabet.size - 1)
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=3))
+    for u in list(words):
+        i = draw(st.integers(0, len(u) - 1))
+        words += draw(st.sampled_from([[], [u[i:i + draw(st.integers(1, len(u) - i))]],
+                                       [(draw(letters),) + u], [u + u]]))
+    return alphabet, sorted(set(words), key=alphabet.glex_key)
+
+
+def _inserted_system(draw, alphabet, field, leading):
+    """``TruncatedGB`` holding one monic element per leading word, each with
+    a tail of up to two glex-smaller words, put in with ``_insert``."""
+    pool = [w for n in range(5) for w in words_of_degree(alphabet, n)]
+    gb = TruncatedGB(alphabet, field, 6)
+    for lw in leading:
+        smaller = [w for w in pool if alphabet.glex_key(w) < alphabet.glex_key(lw)]
+        tail = draw(st.dictionaries(st.sampled_from(smaller), st.integers(-3, 3), max_size=2))
+        coeffs = {w: field.of_int(c) for w, c in tail.items()}
+        coeffs[lw] = field.one
+        gb._insert(Polynomial(alphabet, field, coeffs))
+    return gb, pool
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_automaton_matches_brute_force_on_arbitrary_leading_words(field, data):
+    alphabet, leading = data.draw(_leading_word_sets())
+    gb, pool = _inserted_system(data.draw, alphabet, field, leading)
+    degrees, p = alphabet.degrees, field.char or None
+    pieces = st.one_of(st.sampled_from(leading), st.integers(0, alphabet.size - 1).map(
+        lambda c: (c,)))
+    for _ in range(4):
+        w = sum(data.draw(st.lists(pieces, max_size=5)), ())
+        expected = brute_first_rewrite(degrees, leading, w)
+        found = gb._find_rewrite(w)
+        assert (found if found is None else (found[0], found[2])) == expected
+        assert gb.is_reducible_word(w) == (expected is not None)
+        f = Polynomial(alphabet, field, {w: field.one, **{
+            u: field.of_int(c) for u, c in data.draw(st.dictionaries(
+                st.sampled_from(pool), st.integers(1, 4), max_size=3)).items()}})
+        expected_nf = reference_reduce(degrees, [g.coeffs for g in gb.elements], f.coeffs, p)
+        assert list(gb._reduce(f).coeffs.items()) == list(expected_nf.items())
+    counts = brute_irreducible_counts(degrees, leading, gb.bound)
+    assert gb.dimensions() == counts
+    assert [len(gb.irreducible_words(n)) for n in range(gb.bound + 1)] == counts
+    assert irreducible_lyndon_words(gb, gb.bound) == brute_irreducible_lyndon(
+        degrees, leading, gb.bound)
+
+
+def test_long_words_need_no_recursion_depth():
+    two = Alphabet([("x", 1), ("y", 1)])
+    gb = TruncatedGB(two, QQ, 2)
+    gb._insert(parse_polynomial("y*y - x*y", two, QQ))
+    w = (1, 0) * 2500   # (y x)^2500, irreducible
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        plain, reducible = gb.is_reducible_word(w), gb.is_reducible_word(w + (1, 1))
+        nf = gb._reduce(Polynomial.from_word(two, QQ, w + (1, 1)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not plain and reducible
+    assert nf.coeffs == {w + (0, 1): 1}
+
+
+def test_dimensions_count_by_state_not_by_word():
+    # x, y of degree 1 with y*y: the words avoiding y y, counted by Fibonacci
+    # numbers; there are about 4.2e12 of them in degree 60.
+    two = Alphabet([("x", 1), ("y", 1)])
+    gb = compute_truncated_gb(two, QQ, [parse_polynomial("y*y", two, QQ)], 60)
+    start = time.perf_counter()
+    dims = gb.dimensions()
+    elapsed = time.perf_counter() - start
+    fibonacci = [1, 2]
+    while len(fibonacci) < 61:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert dims == fibonacci
+    assert elapsed < 0.5
+
+
+def test_automaton_is_built_once_per_changed_basis(monkeypatch):
+    builds = []
+    build = rewrite._leading_word_automaton
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rewrite, "_leading_word_automaton", counted)
+    gb = TruncatedGB(AB2, QQ, 5)
+    for src in ("x2*x2", "x2*x1 - x1^2", "x1^3"):
+        gb._insert(parse_polynomial(src, AB2, QQ))
+    gb._remove(0)
+    gb._insert(parse_polynomial("x2*x1*x2", AB2, QQ))
+    assert builds == []
+    f = parse_polynomial("x2^3*x1 + x2*x1*x2", AB2, QQ)
+    queries = [
+        lambda: gb.is_reducible_word(AB2.word("x2", "x1")),
+        lambda: gb._find_rewrite(AB2.word("x2", "x2")),
+        lambda: gb._reduce(f),
+        gb.dimensions,
+        lambda: gb.irreducible_words(4),
+        lambda: irreducible_lyndon_words(gb, 5),
+        lambda: gb.height(AB2.word("x1")),
+    ]
+    for query in queries:
+        query()
+    assert len(builds) == 1
+    gb._remove(1)
+    gb._insert(parse_polynomial("x1^2*x2", AB2, QQ))
+    gb._remove(0)
+    assert len(builds) == 1
+    for query in queries:
+        query()
+    assert len(builds) == 2
