@@ -3,13 +3,14 @@
 Homogeneous ideals only: truncation at a degree bound is then exact, and the
 interreduced monic system obtained by resolving all overlap compositions of
 degree <= bound certifies normal forms, irreducible words, dimensions and
-heights up to that bound.  Completion processes compositions by ascending
-total degree, then by graded-lex order of the overlap word, so output is
-deterministic for a fixed input order.  An overlap word with a leading word
-strictly inside it (away from both ends) is skipped unreduced: the system is
-complete below its degree, so by Bergman's diamond lemma the composition
-resolves through the pieces it splits into, each disjoint, nested or an
-overlap on a shorter word.
+heights up to that bound.  Completion runs one degree at a time: an element
+of degree n holds only words of degree n, so nothing found at degree n or
+above reduces a lower one, and every lower degree is final when degree n
+starts.  The reduced basis is unique, so it does not depend on the input
+order.  An overlap word with a leading word strictly inside it (away from
+both ends) is skipped unreduced: the system is complete below its degree,
+so by Bergman's diamond lemma the composition resolves through the pieces
+it splits into, each disjoint, nested or an overlap on a shorter word.
 
 Every question about words reads one Aho–Corasick automaton of the leading
 words, rebuilt on the first query after a basis change: a rewrite is one
@@ -23,6 +24,7 @@ import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain, product
 from math import gcd, lcm
 
 from .poly import Polynomial, TensorElement, _shirshov_bracket
@@ -319,72 +321,49 @@ def _overlap_positions(l1, l2):
 
 
 def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
-    """Interreduced monic rewriting system complete to degree ``bound``."""
+    """Interreduced monic rewriting system complete to degree ``bound``.
+
+    One pass per degree ``n = 1..bound``, lower degrees final: reduce the
+    relations, then the compositions, inserting each nonzero remainder monic;
+    re-reduce each element whose tail holds a degree-``n`` leading word found
+    after it; queue the overlaps of each ordered pair with a degree-``n`` member.
+    """
     gb = TruncatedGB(alphabet, field, bound)
+    inputs = [[] for _ in range(bound + 1)]     # per degree: relations, then compositions
+    overlaps = [[] for _ in range(bound + 1)]   # per degree: (f, g, k)
     for i, rel in enumerate(relations):
         if rel.alphabet != alphabet or rel.field != field:
             raise ValueError(f"relation {i + 1} has mismatched alphabet or scalar mode")
         _validate_relation(rel, bound, f"relation {i + 1}")
-
-    pending = deque(relations)
-    pairs: list = []           # heap of (degree, lex key of overlap word, seq, f, g, k)
-    seen_pairs: set = set()
-    counter = 0
-
-    def push_pairs(h: Polynomial):
-        nonlocal counter
-        for g in list(gb.elements):
-            for first, second in ((h, g), (g, h)):
-                l1, l2 = first.leading_word(), second.leading_word()
-                for k in _overlap_positions(l1, l2):
-                    tag = (l1, l2, k)
-                    if tag in seen_pairs:
-                        continue
-                    seen_pairs.add(tag)
-                    overlap = l1 + l2[k:]
-                    deg = alphabet.degree(overlap)
-                    if deg > bound:
-                        continue
-                    counter += 1
-                    heapq.heappush(
-                        pairs,
-                        (deg, alphabet.lex_key(overlap), counter, first, second, k))
-
-    def incorporate(f: Polynomial):
-        f = gb._reduce(f)
-        if f.is_zero():
-            return
-        if f.degree() == 0:
-            raise WholeAlgebraIdeal("unit reached during completion: ideal is the whole algebra")
-        f = f.scale(field.inv(f.leading_coefficient()))
-        lw = f.leading_word()
-        affected = []
-        for idx in range(len(gb.elements) - 1, -1, -1):
-            g = gb.elements[idx]
-            if any(_contains(w, lw) for w in g.coeffs):
-                affected.append(gb._remove(idx))
-        gb._insert(f)
-        push_pairs(f)
-        for g in reversed(affected):
-            pending.append(g)
-
-    while pending or pairs:
-        while pending:
-            incorporate(pending.popleft())
-        if pairs:
-            _deg, _key, _seq, f, g, k = heapq.heappop(pairs)
+        inputs[rel.degree()].append(rel)
+    for n in range(1, bound + 1):
+        for f, g, k in overlaps[n]:
             l1, l2 = f.leading_word(), g.leading_word()
             if gb.is_reducible_word((l1 + l2[k:])[1:-1]):
                 continue   # resolvable through compositions of lower degree
             left_tail = Polynomial.from_word(alphabet, field, l2[k:])
             right_head = Polynomial.from_word(alphabet, field, l1[:len(l1) - k])
-            pending.append(f * left_tail - right_head * g)
+            inputs[n].append(f * left_tail - right_head * g)
+        start = len(gb.elements)   # glex is graded: degree n sorts last
+        for f in inputs[n]:
+            f = gb._reduce(f)
+            if f.coeffs:
+                gb._insert(f.scale(field.inv(f.leading_coefficient())))
+        # Tails are reduced by the lower degrees; a degree-n factor is the whole word.
+        found = {g.leading_word() for g in gb.elements[start:]}
+        for idx in range(start, len(gb.elements)):
+            g = gb.elements[idx]
+            if len(found.intersection(g.coeffs)) > 1:
+                gb._remove(idx)
+                gb._insert(gb._reduce(g))   # same leading word, same place
+        old, fresh = gb.elements[:start], gb.elements[start:]
+        for f, g in chain(product(fresh, gb.elements), product(old, fresh)):
+            l1, l2 = f.leading_word(), g.leading_word()
+            for k in _overlap_positions(l1, l2):
+                deg = alphabet.degree(l1 + l2[k:])
+                if deg <= bound:
+                    overlaps[deg].append((f, g, k))
     return gb
-
-
-def _contains(w, factor) -> bool:
-    n = len(factor)
-    return any(w[i:i + n] == factor for i in range(len(w) - n + 1))
 
 
 def normal_form(f: Polynomial, gb: TruncatedGB) -> Polynomial:

@@ -294,8 +294,8 @@ def test_enumerate_lyndon_and_reducibility_free():
 
 
 def test_interreduction_cascade():
-    # a later relation whose leading word divides an earlier one forces the
-    # earlier element to be reprocessed and absorbed
+    # the degree-3 relation holds the leading word of the degree-2 one, so
+    # completed degree by degree it reduces to zero and is never inserted
     r1 = parse_polynomial("x2*x1^2 - x1^2*x2", AB2, QQ)
     r2 = parse_polynomial("x2*x1 - x1*x2", AB2, QQ)
     gb = compute_truncated_gb(AB2, QQ, [r1, r2], 6)
@@ -339,9 +339,11 @@ def test_random_ideals_match_dimension_oracle():
 def test_leading_words_form_an_antichain():
     # interreduction: no leading word occurs as a factor of another, and no
     # support word of any element is reducible by a different element
+    sklyanin = [compute_truncated_gb(SKLYANIN, field, sklyanin_relations(*draw, field), 9)
+                for field in (QQ, PrimeField(32003)) for draw in SKLYANIN_DRAWS]
     for gb in (heis_gb(), commutative_gb(),
                compute_truncated_gb(
-                   AB2, QQ, [parse_polynomial("x2*x1 - x1*x1", AB2, QQ)], 6)):
+                   AB2, QQ, [parse_polynomial("x2*x1 - x1*x1", AB2, QQ)], 6), *sklyanin):
         lws = gb.leading_words()
         for i, a in enumerate(lws):
             for j, b in enumerate(lws):
@@ -726,6 +728,34 @@ def test_completed_sklyanin_basis_resolves_every_composition(field):
         _assert_complete(compute_truncated_gb(SKLYANIN, field, sklyanin_relations(*draw, field), 7))
 
 
+@pytest.mark.parametrize("relations, expected", [
+    ([parse_polynomial(s, AB2, QQ) for s in ("x2*x1^2 - x1^2*x2", "x2*x1 - x1*x2")],
+     [("+", 2)]),
+    (sklyanin_relations(*SKLYANIN_DRAWS[0], QQ), None),
+], ids=["cascade", "sklyanin"])
+def test_completion_never_returns_to_a_lower_degree(monkeypatch, relations, expected):
+    # every element is homogeneous, so once degree n is reached no element
+    # of a lower degree is inserted or removed again
+    events = []
+    insert, remove = TruncatedGB._insert, TruncatedGB._remove
+
+    def recorded_insert(gb, g):
+        events.append(("+", g.degree()))
+        insert(gb, g)
+
+    def recorded_remove(gb, idx):
+        g = remove(gb, idx)
+        events.append(("-", g.degree()))
+        return g
+
+    monkeypatch.setattr(TruncatedGB, "_insert", recorded_insert)
+    monkeypatch.setattr(TruncatedGB, "_remove", recorded_remove)
+    compute_truncated_gb(relations[0].alphabet, QQ, relations, 7)
+    degrees = [d for _, d in events]
+    assert degrees and degrees == sorted(degrees)
+    assert expected is None or events == expected
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 def test_reduce_matches_reference_during_sklyanin_completion(field, checked_reduce):
     # Over Q the Sklyanin bases carry denominators, which the fixture
@@ -870,6 +900,9 @@ def test_dimensions_match_dimension_oracle(field, data):
     gb = compute_truncated_gb(alphabet, field, relations, 5)
     assert gb.dimensions() == [ideal_dimension_oracle(alphabet, relations, n, field.char or None)
                                for n in range(6)]
+    # the reduced truncated basis does not depend on the input order
+    reversed_gb = compute_truncated_gb(alphabet, field, relations[::-1], 5)
+    assert [g.coeffs for g in reversed_gb.elements] == [g.coeffs for g in gb.elements]
 
 
 def test_nf_bracket_of_a_long_word_needs_no_recursion_depth():
