@@ -21,7 +21,6 @@ the dimension count step a state beside each prefix.
 from __future__ import annotations
 
 import bisect
-import heapq
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, product
@@ -251,21 +250,21 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
     ``c = F[w]`` and ``t = gcd(c, L)``, the step ``F <- (L/t) F - (c/t) L g``,
     ``s <- s L/t`` subtracts ``(c/s) g``, which cancels ``w`` and changes
     only smaller words.  Over F_p, ``L`` and ``s`` stay 1 and scalars are
-    taken mod ``p``.  Words wait in a max-heap, so a word is final once
-    popped.  Returns ``(kept, pivots)``, both keyed glex-descending: each
+    taken mod ``p``.  Words wait in a list sorted by ``(degree, word)``,
+    the graded lex order (no word is a proper prefix of another of its
+    degree), and are popped from its end, so a word is final once popped.
+    Returns ``(kept, pivots)``, both keyed glex-descending: each
     kept word's scalar ``F[w] / s``, and each pivot word's pair
     ``(F[w], s)``, whose quotient is its pivot's coefficient.
     """
-    p, div = field.char, field.div
-    descending = alphabet.glex_descending_key
+    p, div, degree = field.char, field.div, alphabet.degree
 
     s, start = _integral(coeffs)
     pending = dict(start)
-    heap = [(descending(w), w) for w in pending]     # heapq pops the smallest
-    heapq.heapify(heap)
+    order = sorted((degree(w), w) for w in pending)
     kept, pivots = {}, {}
-    while heap:
-        w = heapq.heappop(heap)[-1]
+    while order:
+        w = order.pop()[1]
         c = pending.get(w)
         if c is None:
             continue     # cancelled by an earlier pivot
@@ -291,7 +290,7 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
                 del pending[v]
             else:
                 if old is None:
-                    heapq.heappush(heap, (descending(v), v))
+                    bisect.insort(order, (degree(v), v))
                 pending[v] = nv
     return kept, pivots
 
@@ -425,7 +424,7 @@ def admissible_words(gb: TruncatedGB, n: int, kind: str = "irreducible") -> list
             top = remaining // d if cap is None else min(cap, remaining // d)
             for e in range(1, top + 1):
                 stack.append((j + 1, w + u * e, remaining - e * d))
-    out.sort(key=alphabet.glex_key)
+    out.sort()   # one degree: tuple order is the lex order
     return out
 
 

@@ -28,8 +28,8 @@ from .rewrite import (
     irreducible_lyndon_words,
     tensor_bracket_coordinates,
 )
-from .word import (GREATER, compare_lex, enumerate_lyndon, factors_below, is_lyndon,
-                   lyndon_decomposition, shirshov_factorization)
+from .word import (enumerate_lyndon, factors_below, is_lyndon, lyndon_decomposition,
+                   shirshov_factorization)
 
 
 class Presentation:
@@ -205,11 +205,12 @@ def _commutator_coordinates(gb: TruncatedGB, words) -> dict:
     ``words`` with ``u > v`` (lex) and ``deg(uv) <= bound``, in the order of
     ``words``; ``z_w = NF([w])``.  NF is multiplicative below the bound, so
     these are also the coordinates of ``[[u], [v]]``."""
-    degree = gb.alphabet.degree
+    alphabet = gb.alphabet
+    keyed = [(w, alphabet.lex_key(w), alphabet.degree(w)) for w in words]
     table = {}
-    for u in words:
-        for v in words:
-            if compare_lex(u, v) == GREATER and degree(u) + degree(v) <= gb.bound:
+    for u, ku, du in keyed:
+        for v, kv, dv in keyed:
+            if ku > kv and du + dv <= gb.bound:
                 comm = commutator(_nf_bracket(gb, u), _nf_bracket(gb, v))
                 table[(u, v)] = bracket_coordinates(comm, gb)
     return table

@@ -96,15 +96,6 @@ class Alphabet:
         # Right-padding with a maximal sentinel makes proper prefixes larger.
         return (*w, self.size)
 
-    def glex_descending_key(self, w: Word):
-        """Sort key for the graded lex order, descending: ascending by this
-        key is descending by ``glex_key``, as a min-heap needs.
-
-        Negating every letter reverses tuple order within one degree because,
-        as for ``glex_key``, no word there is a proper prefix of another.
-        """
-        return (-self.degree(w), [-x for x in w])
-
     def render_word(self, w: Word, sep: str = " ") -> str:
         if not w:
             return "1"
@@ -251,5 +242,5 @@ def words_of_degree(alphabet: Alphabet, n: int, avoid=None) -> list[Word]:
                 break
             if not final[row[c]]:
                 stack.append((w + (c,), budget - d, row[c]))
-    out.sort(key=alphabet.lex_key)
+    out.reverse()   # the stack pops the largest letter first
     return out

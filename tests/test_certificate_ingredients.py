@@ -82,6 +82,22 @@ def test_commutator_table_equals_free_algebra_brackets(certified):
     assert checked > 50
 
 
+@pytest.mark.parametrize("path, bound", [(ROOT / "fixtures" / "free2.json", 8),
+                                         (ROOT / "perfbench" / "presentations" / "serre_a2.json", None)],
+                         ids=["free2", "serre_a2"])
+def test_commutator_table_follows_the_order_of_its_words(path, bound):
+    # verify passes gamma lex sorted, verify_quasi_lie its words glex sorted.
+    alphabet, field, rels, _images, _digest, file_bound = parse_presentation(path)
+    gb = Presentation(alphabet, field, rels, None, bound or file_bound).groebner()
+    glex = irreducible_lyndon_words(gb, gb.bound)
+    for words in (sorted(glex, key=alphabet.lex_key), glex):
+        expected = [(u, v) for u in words for v in words
+                    if compare_lex(u, v) == GREATER
+                    and alphabet.degree(u) + alphabet.degree(v) <= gb.bound]
+        assert list(structure._commutator_coordinates(gb, words)) == expected
+    assert words != sorted(glex, key=alphabet.lex_key)
+
+
 @pytest.mark.parametrize("spec", FIELDS, ids=lambda spec: spec or "file")
 def test_bracket_walk_equals_the_expanded_coproduct(spec):
     # Delta is an algebra map and [P(a), P(b)] = P([a, b]), so over the free

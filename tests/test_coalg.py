@@ -159,6 +159,31 @@ def test_triangular_same_degree_violation():
     assert any("scalar tensor leg" in d for d in report.details)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_triangular_accepts_any_top_degree_term_with_nonempty_legs(field):
+    # Nonempty legs of a top-degree term have degrees below deg x, so they
+    # hold only letters below x, and every Lyndon factor is below x.
+    rng = random.Random(f"triangular {field!r}")
+    terms = 0
+    for _ in range(40):
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        alphabet = Alphabet([(f"x{i}", d) for i, d in enumerate(degrees)])
+        words = list(graded_words(alphabet.degrees, 2))
+        images = {}
+        for x, d in enumerate(alphabet.degrees):
+            legs = [(w, w2) for w in words for w2 in words
+                    if w and w2 and alphabet.degree(w + w2) == d]
+            image = {((), (x,)): field.one, ((x,), ()): field.one}
+            for pair in rng.sample(legs, min(len(legs), 3)):
+                image[pair] = field.of_int(rng.randint(1, 6))
+            terms += len(image) - 2
+            images[x] = TensorElement(alphabet, field, image)
+        comul = Comultiplication(alphabet, field, images)
+        assert check_triangular(comul, graded=True).ok
+        assert check_triangular(comul, graded=False).ok
+    assert terms > 50
+
+
 def test_stability_examples():
     heis = Alphabet([("x1", 1), ("x2", 1), ("x3", 2)])
     rels = [parse_polynomial(s, heis, QQ) for s in

@@ -388,6 +388,29 @@ def test_stored_lyndon_words_follow_basis_changes():
     assert irreducible_lyndon_words(gb, 4) == enumerate_lyndon(AB2, 4)
 
 
+MIXED = Alphabet([("x1", 1), ("x2", 1), ("x3", 2), ("x4", 3)])
+
+
+@pytest.mark.parametrize("relations", [
+    [], ["x2*x1 - x1*x2 - x3", "x4*x1 - x1*x4", "x3*x3 - x1*x4"]], ids=["free", "avoid"])
+def test_word_searches_come_out_in_order(relations):
+    # The searches emit their words in order, unsorted: words_of_degree in
+    # lex order, the B and C families in graded lex order.
+    gb = compute_truncated_gb(MIXED, QQ, [parse_polynomial(r, MIXED, QQ) for r in relations], 7)
+    leading = gb.leading_words()
+    irreducible = [w for w in graded_words(MIXED.degrees, 7)
+                   if not any(w[i:i + len(lw)] == lw
+                              for lw in leading for i in range(len(w) - len(lw) + 1))]
+    avoid = gb._tables()[:2] if relations else None
+    for n in range(8):
+        expected = sorted((w for w in irreducible if MIXED.degree(w) == n), key=MIXED.lex_key)
+        assert words_of_degree(MIXED, n, avoid) == expected
+        assert gb.irreducible_words(n) == expected
+        for kind in ("B", "C"):
+            words = admissible_words(gb, n, kind)
+            assert words == sorted(words, key=MIXED.glex_key)
+
+
 def test_enumerators_leave_no_garbage():
     gb = heis_gb(8)
     calls = [
@@ -872,6 +895,21 @@ def test_interior_criterion_skips_reductions(monkeypatch):
     assert len(calls) == 97
     assert gb.leading_words() == [SKLYANIN.word(*w) for w in SKLYANIN_LEADING_WORDS]
     assert gb.dimensions() == [(n + 1) * (n + 2) // 2 for n in range(10)]
+
+
+def test_reduction_leaves_the_glex_key_table_alone():
+    # Elimination keys its pending words per call: the alphabet's table,
+    # which lives as long as the presentation, gains no intermediate word.
+    gb = compute_truncated_gb(SKLYANIN, QQ, sklyanin_relations(7, -3, -8, QQ), 9)
+    table = SKLYANIN.glex_key.__self__
+    rng = random.Random(9)
+    pool = words_of_degree(SKLYANIN, 9)
+    inputs = [Polynomial(SKLYANIN, QQ, {w: QQ.of_int(rng.randint(-5, 5))
+                                        for w in rng.sample(pool, 8)}) for _ in range(6)]
+    before = len(table)   # the inputs' own words are keyed by their sort
+    for f in inputs:
+        assert not gb._reduce(f).is_zero()
+    assert len(table) == before
 
 
 # -- dimensions against dense linear algebra, property-based ---------------------
