@@ -335,7 +335,7 @@ def _cmd_ihoe(args, pres, report):
     _add_verdict(report, *result.verdicts())
     try:
         tower = extract_ihoe(pres, result)
-    except (OutOfCertifiedRange, ValueError) as exc:
+    except ValueError as exc:   # OutOfCertifiedRange among them
         _add_verdict(report, CheckReport("tower extraction", False, [str(exc)]))
         return
     report["gamma"] = _gamma_json(pres.alphabet, result.gamma)

@@ -244,12 +244,15 @@ class Antipode:
         return self.gb._reduce(f.extend_linearly(self._of_word, Polynomial))
 
     def convolution_check(self, max_degree: int) -> CheckReport:
-        """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` up to ``max_degree``."""
+        """``m(S (x) id) Delta = eps = m(id (x) S) Delta`` up to ``max_degree``.
+
+        Only the right law is evaluated: ``S(x)`` is solved from
+        ``m(S (x) id) Delta(x) = 0`` and NF is linear, so the left sum
+        ``NF(S(x) + x + rest)`` is zero on every letter by construction."""
         gb, comul = self.gb, self.comul
         details = []
         for x in _irreducible_letters(gb, max_degree):
-            dx = comul.image(x)
-            if any(gb._reduce(dx.extend_linearly(m, Polynomial)) for m in (self._s_id, self._id_s)):
+            if gb._reduce(comul.image(x).extend_linearly(self._id_s, Polynomial)):
                 details.append(f"antipode law fails on {comul.alphabet.names[x]}")
         return CheckReport(name="antipode law", ok=not details, details=details)
 

@@ -55,7 +55,6 @@ class TruncatedGB:
         self._lw_index: dict = {}               # leading word -> _integral(element)
         self._automaton = None                  # built on demand, see _tables
         self._nf_bracket_cache: dict = {}
-        self._irreducible_lyndon: list | None = None   # up to bound, glex sorted
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -76,7 +75,6 @@ class TruncatedGB:
     def _basis_changed(self):
         self._automaton = None
         self._nf_bracket_cache.clear()
-        self._irreducible_lyndon = None
 
     def _tables(self):
         """The automaton of the leading words, built on the first query
@@ -374,21 +372,15 @@ def irreducible_lyndon_words(gb: TruncatedGB, max_degree: int) -> list:
 
     Every prefix of an irreducible Lyndon word is irreducible and can start a
     Lyndon word, so one search visits only such prefixes: it drops a prefix
-    that ends in a leading word or fails the Duval scan.  The words up to the
-    bound are found once per system and stored on ``gb`` (cleared when the
-    basis changes); a lower ``max_degree`` keeps a prefix of that list.
+    that ends in a leading word or fails the Duval scan.
     """
     if max_degree > gb.bound:
         raise OutOfCertifiedRange(f"degree {max_degree} exceeds bound {gb.bound}")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    words = gb._irreducible_lyndon
-    if words is None:
-        words = lyndon_words(gb.alphabet, gb.bound, gb._tables()[:2])
-        words.sort(key=gb.alphabet.glex_key)
-        gb._irreducible_lyndon = words
-    degree = gb.alphabet.degree
-    return [u for u in words if degree(u) <= max_degree]
+    words = lyndon_words(gb.alphabet, max_degree, gb._tables()[:2])
+    words.sort(key=gb.alphabet.glex_key)
+    return words
 
 
 def height(u, gb: TruncatedGB):
@@ -399,8 +391,6 @@ def admissible_words(gb: TruncatedGB, n: int, kind: str = "irreducible") -> list
     """Degree-``n`` members of the irreducible / B / C word families."""
     if kind not in ("irreducible", "B", "C"):
         raise ValueError(f"unknown kind {kind!r}")
-    if n > gb.bound:
-        raise OutOfCertifiedRange(f"degree {n} exceeds bound {gb.bound}")
     if kind == "irreducible":
         return gb.irreducible_words(n)
     if n == 0:
@@ -473,8 +463,6 @@ class IrreducibleData:
 
 def collect_irreducible_data(gb: TruncatedGB, max_degree: int | None = None) -> IrreducibleData:
     bound = gb.bound if max_degree is None else max_degree
-    if bound > gb.bound:
-        raise OutOfCertifiedRange(f"degree {bound} exceeds bound {gb.bound}")
     lyndon = irreducible_lyndon_words(gb, bound)
     heights = {u: gb.height(u) for u in lyndon}
     dims = gb.dimensions()[:bound + 1]

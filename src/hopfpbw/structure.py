@@ -167,7 +167,7 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     report.condition2 = cond2
 
     # Condition (3): monomial counts match quotient dimensions per degree.
-    cond3 = _basis_counts(gb, report.dims, "pbw condition (3): basis counts")
+    cond3 = _basis_counts(gb, gamma, report.dims, "pbw condition (3): basis counts")
     if field.char != 0:
         cond3.details.append(
             "note: positive characteristic, counted the exponent-bounded family")
@@ -180,12 +180,12 @@ def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, z_table: dict)
     a letter takes ``comul.reduced_image``, and ``u = lr`` (Shirshov) takes
     ``[P(z_l) + Delta'_l, Delta'_r] + [Delta'_l, P(z_r)]``, with a term whose
     ``Delta'`` half is 0 skipped; ``l`` and ``r`` are irreducible Lyndon words
-    of lower degree, so glex order meets them first.  As ``[P(a), P(b)] =
-    P([a, b])`` and ``z_w - [w]`` lies in the stable ideal ``I``, ``Delta'_u``
-    and ``Delta(z_u) - P(z_u)`` differ in ``I (x) A + A (x) I``: their leg-wise
-    coordinates agree."""
+    of lower degree, keys of ``z_table`` that glex order meets first.  As
+    ``[P(a), P(b)] = P([a, b])`` and ``z_w - [w]`` lies in the stable ideal
+    ``I``, ``Delta'_u`` and ``Delta(z_u) - P(z_u)`` differ in
+    ``I (x) A + A (x) I``: their leg-wise coordinates agree."""
     table = {}
-    for u in irreducible_lyndon_words(gb, gb.bound):
+    for u in sorted(z_table, key=gb.alphabet.glex_key):
         if len(u) == 1:
             table[u] = comul.reduced_image(u[0])
             continue
@@ -234,10 +234,9 @@ def _monomial_counts(gb: TruncatedGB, words, capped: bool) -> list[int]:
     return counts
 
 
-def _basis_counts(gb: TruncatedGB, dims, name: str) -> CheckReport:
-    """The ordered monomials of each degree (B, or C over a prime field)
-    count the quotient dimensions ``dims``."""
-    words = irreducible_lyndon_words(gb, gb.bound)
+def _basis_counts(gb: TruncatedGB, words, dims, name: str) -> CheckReport:
+    """The ordered monomials in the irreducible Lyndon ``words`` of each
+    degree (B, or C over a prime field) count the quotient dimensions ``dims``."""
     counts = _monomial_counts(gb, words, capped=gb.field.char != 0)
     details = []
     for n, count in enumerate(counts):
@@ -347,9 +346,8 @@ def render_pbw_value(terms, field) -> str:
 def _reducible_lyndon_coordinates(gb: TruncatedGB):
     """Each reducible Lyndon word ``v`` up to the bound, glex ascending, with
     the bracket coordinates of ``[v] + I``."""
-    irreducible = set(irreducible_lyndon_words(gb, gb.bound))
     for v in enumerate_lyndon(gb.alphabet, gb.bound):
-        if v not in irreducible:
+        if gb.is_reducible_word(v):
             yield v, bracket_coordinates(_nf_bracket(gb, v), gb)
 
 
@@ -408,7 +406,7 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
                     f"[[{render_word(alphabet, u)}],[{render_word(alphabet, v)}]]: "
                     f"coordinate {render_word(alphabet, w)} above the product word")
     part2 = CheckReport("quasi-primitivity (2): irreducible commutators", not details2, details2)
-    part3 = _basis_counts(gb, gb.dimensions(), "quasi-primitivity (3): basis counts")
+    part3 = _basis_counts(gb, irreducible, gb.dimensions(), "quasi-primitivity (3): basis counts")
     return [part1, part2, part3]
 
 

@@ -25,7 +25,7 @@ from hopfpbw import (
     render_tensor,
     verify_structure_theorem,
 )
-from hopfpbw import structure
+from hopfpbw import rewrite, structure
 from hopfpbw.cli import parse_presentation, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -363,6 +363,31 @@ def test_hilbert_checks_no_pbw_condition(name, field, monkeypatch):
     for target in ("_commutator_coordinates", "tensor_bracket_coordinates", "_nf_bracket"):
         monkeypatch.setattr(structure, target, refuse)
     assert run(argv) == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["hilbert"], ["ihoe"], ["quasi-lie"], ["lie-gens"], ["heights"],
+    ["basis", "--kind", "B", "--degree", "4"], ["basis", "--kind", "C", "--degree", "4"],
+    ["gb"], ["hopf-check"]])
+def test_one_lyndon_search_per_command(command, monkeypatch):
+    calls = []
+    search = rewrite.irreducible_lyndon_words
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    for module in (rewrite, structure):
+        monkeypatch.setattr(module, "irreducible_lyndon_words", counted)
+    counts = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        calls.clear()
+        run([command[0], str(path), *command[1:], "--bound", "5"])
+        counts[path.name] = len(calls)
+    # lie-gens reads reducibility off the automaton and never searches
+    assert set(counts.values()) <= ({0} if command[0] == "lie-gens" else {0, 1}), counts
+    if command[0] in ("verify", "hilbert", "ihoe", "quasi-lie", "heights", "basis"):
+        assert counts["heisenberg.json"] == 1
 
 
 @pytest.mark.parametrize("name", ["bad_delta.json", "unstable_square.json", "free2.json"])

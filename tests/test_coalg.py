@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,7 @@ from hopfpbw import (
     standard_comultiplication,
     tensor_bracket_coordinates,
 )
+from hopfpbw.cli import parse_presentation
 from hopfpbw.poly import primitive_part
 from hopfpbw.rewrite import _nf_bracket
 from hopfpbw.structure import _reduced_coproducts
@@ -465,6 +467,31 @@ def test_antipode_law_on_corpus():
     for comul, gb in cases:
         antipode = Antipode(comul, gb)
         assert antipode.convolution_check(gb.bound).ok
+
+
+def test_left_antipode_law_holds_by_construction():
+    # S(x) is solved from m(S (x) id) Delta(x) = 0, so convolution_check
+    # evaluates only the right law; the left sum is zero on every letter.
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "fixtures").glob("*.json"),
+                    *(root / "perfbench" / "presentations").glob("*.json")])
+    checked = 0
+    for path in paths:
+        for field in (None, PrimeField(7), PrimeField(2)):
+            try:
+                alphabet, field, relations, images, _digest, bound = parse_presentation(
+                    str(path), field, 6)
+                comul = Comultiplication(alphabet, field, images)
+                gb = compute_truncated_gb(alphabet, field, relations, min(bound, 6))
+                antipode = Antipode(comul, gb, precheck=False)
+            except ValueError:   # a coefficient or relation the field refuses, not triangular
+                continue
+            for x in range(alphabet.size):
+                if alphabet.degrees[x] <= gb.bound and not gb.is_reducible_word((x,)):
+                    left = comul.image(x).extend_linearly(antipode._s_id, Polynomial)
+                    assert not gb._reduce(left), (path.name, field, alphabet.names[x])
+                    checked += 1
+    assert checked >= 60, checked
 
 
 def test_antipode_is_antimultiplicative_mod_ideal():

@@ -373,7 +373,7 @@ def test_irreducible_lyndon_words_match_brute_force():
         degrees = gb.alphabet.degrees
         expected = brute_irreducible_lyndon(degrees, gb.leading_words(), gb.bound)
         assert irreducible_lyndon_words(gb, gb.bound) == expected
-        # lower degrees are read from the stored list
+        # searched to degree d
         for d in range(1, gb.bound):
             assert irreducible_lyndon_words(gb, d) == [
                 w for w in expected if sum(degrees[i] for i in w) <= d]
