@@ -224,12 +224,17 @@ class Antipode:
             self._letters[x] = gb._reduce(-Polynomial.from_word(alphabet, field, (x,)) - rest)
 
     def _s_id(self, pair) -> Polynomial:
-        """``m(S (x) id)`` on the key ``a (x) b``: ``S(a) b``."""
-        return self._of_word(pair[0]) * Polynomial.from_word(self.comul.alphabet, self.comul.field, pair[1])
+        """``m(S (x) id)`` on the key ``a (x) b``: ``S(a) b``.  Appending ``b``
+        to each word of ``S(a)`` keeps their glex order, so no product is formed."""
+        a, b = pair
+        coeffs = {w + b: c for w, c in self._of_word(a).coeffs.items()}
+        return Polynomial(self.comul.alphabet, self.comul.field, coeffs, _normalized=True)
 
     def _id_s(self, pair) -> Polynomial:
-        """``m(id (x) S)`` on the key ``a (x) b``: ``a S(b)``."""
-        return Polynomial.from_word(self.comul.alphabet, self.comul.field, pair[0]) * self._of_word(pair[1])
+        """``m(id (x) S)`` on the key ``a (x) b``: ``a S(b)``, as in ``_s_id``."""
+        a, b = pair
+        coeffs = {a + w: c for w, c in self._of_word(b).coeffs.items()}
+        return Polynomial(self.comul.alphabet, self.comul.field, coeffs, _normalized=True)
 
     def _of_word(self, w) -> Polynomial:
         out = Polynomial.one(self.comul.alphabet, self.comul.field)

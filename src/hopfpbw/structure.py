@@ -203,17 +203,73 @@ def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, z_table: dict)
 def _commutator_coordinates(gb: TruncatedGB, words) -> dict:
     """``{(u, v): bracket coordinates of [z_u, z_v]}`` over the pairs of
     ``words`` with ``u > v`` (lex) and ``deg(uv) <= bound``, in the order of
-    ``words``; ``z_w = NF([w])``.  NF is multiplicative below the bound, so
-    these are also the coordinates of ``[[u], [v]]``."""
-    alphabet = gb.alphabet
+    ``words``; ``z_w = NF([w])``.
+
+    In the free algebra ``[[u], [v]] = sum a_w [w]`` over Lyndon words ``w``
+    with integers ``a_w`` (``_lie_structure_constants``), so no polynomial
+    is multiplied.  ``z_u - [u]`` lies in the ideal and NF is multiplicative
+    below the bound, so ``NF([z_u, z_v]) = sum a_w NF([w])``; coordinates are
+    linear, so those of ``[z_u, z_v]`` are ``sum a_w c(w)``, with ``c(w)``
+    the coordinates of ``NF([w])`` (``_lyndon_coordinates``).  Each entry is
+    keyed glex-descending, as ``bracket_coordinates`` keys it, with no zeros.
+    """
+    alphabet, field = gb.alphabet, gb.field
     keyed = [(w, alphabet.lex_key(w), alphabet.degree(w)) for w in words]
-    table = {}
+    upto = {n: [(v, kv) for v, kv, dv in keyed if dv <= n] for n in range(1, gb.bound)}
+    constants, coordinates, table = {}, {}, {}
     for u, ku, du in keyed:
-        for v, kv, dv in keyed:
-            if ku > kv and du + dv <= gb.bound:
-                comm = commutator(_nf_bracket(gb, u), _nf_bracket(gb, v))
-                table[(u, v)] = bracket_coordinates(comm, gb)
+        for v, kv in upto.get(gb.bound - du, ()):
+            if ku > kv:
+                total = {}
+                for w, a in _lie_structure_constants(u, v, constants).items():
+                    if w not in coordinates:
+                        coordinates[w] = _lyndon_coordinates(gb, w)
+                    for x, c in coordinates[w].items():
+                        total[x] = field.add(total.get(x, field.zero), field.mul(field.of_int(a), c))
+                table[(u, v)] = {x: total[x] for x in sorted(total, key=alphabet.glex_key, reverse=True)
+                                 if total[x]}
     return table
+
+
+def _lie_structure_constants(u, v, memo: dict) -> dict:
+    """``{w: a_w}`` with ``[[u], [v]] = sum a_w [w]`` in the free Lie ring, for
+    Lyndon words ``u > v`` (so ``uv`` is Lyndon), ``a_w`` nonzero integers.
+
+    The classical rewriting (Reutenauer, *Free Lie Algebras*, 1993, ch. 4-5):
+    ``[[a], [b]] = [ab]`` when ``a`` is a letter or the Shirshov split of
+    ``ab`` is ``(a, b)``; otherwise ``a = a1 a2`` (Shirshov) and Jacobi gives
+    ``[a1, [a2, b]] - [a2, [a1, b]]``, expanded bilinearly, where a pair
+    whose product is not Lyndon is swapped with a sign.  ``memo`` holds
+    each pair's value; an explicit stack revisits a pair once the pairs it
+    reads are known, so the depth is not Python's."""
+    def known(x, y):   # [[x], [y]] from memo; an unknown pair reads 0 and is missing
+        if x == y:
+            return {}
+        sign, pair = (1, (x, y)) if is_lyndon(x + y) else (-1, (y, x))
+        if pair not in memo:
+            missing.append(pair)
+            return {}
+        return {w: sign * c for w, c in memo[pair].items()}
+
+    stack = [(u, v)]
+    while stack:
+        a, b = pair = stack.pop()
+        if pair in memo:
+            continue
+        if len(a) == 1 or shirshov_factorization(a + b)[0] == a:
+            memo[pair] = {a + b: 1}
+            continue
+        a1, a2 = shirshov_factorization(a)
+        total, missing = {}, []
+        for x, y, sign in ((a1, a2, 1), (a2, a1, -1)):   # sign [x, [y, b]]
+            for w, c in known(y, b).items():
+                for w2, c2 in known(x, w).items():
+                    total[w2] = total.get(w2, 0) + sign * c * c2
+        if missing:
+            stack += [pair, *missing]
+        else:
+            memo[pair] = {w: c for w, c in total.items() if c}
+    return memo[(u, v)]
 
 
 def _monomial_counts(gb: TruncatedGB, words, capped: bool) -> list[int]:
@@ -348,7 +404,15 @@ def _reducible_lyndon_coordinates(gb: TruncatedGB):
     the bracket coordinates of ``[v] + I``."""
     for v in enumerate_lyndon(gb.alphabet, gb.bound):
         if gb.is_reducible_word(v):
-            yield v, bracket_coordinates(_nf_bracket(gb, v), gb)
+            yield v, _lyndon_coordinates(gb, v)
+
+
+def _lyndon_coordinates(gb: TruncatedGB, w) -> dict:
+    """The bracket coordinates of ``NF([w])`` for a Lyndon word ``w`` up to the
+    bound: ``{w: 1}`` when ``w`` is irreducible."""
+    if not gb.is_reducible_word(w):
+        return {w: gb.field.one}
+    return bracket_coordinates(_nf_bracket(gb, w), gb)
 
 
 def recover_lie_generators(presentation: Presentation, report: StructureReport | None = None):

@@ -3,11 +3,14 @@ the commutator table equals the coordinates of free-algebra brackets, the
 coproduct of ``z_u`` has the coordinates of the coproduct of ``[u]``, and the
 product counts equal the enumerated ordered monomials."""
 
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from hopfpbw import (
+    Alphabet,
     Comultiplication,
     Polynomial,
     Presentation,
@@ -28,6 +31,9 @@ from hopfpbw.poly import primitive_part
 from hopfpbw.rewrite import _nf_bracket
 from hopfpbw.word import GREATER, compare_lex, shirshov_factorization
 import hopfpbw.structure as structure
+
+from helpers import (brute_is_lyndon, graded_words, reference_bracket, reference_shirshov_split,
+                     stack_depth)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
@@ -147,10 +153,14 @@ def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
 
 
 def test_condition1_forms_no_bracket_outside_the_z_table(monkeypatch):
-    # Condition (1) reads z_u = NF([u]) from the z table, so verify forms the
-    # polynomial products of the z table and the commutator table and no more.
+    # Condition (1) reads z_u = NF([u]) from the z table and condition (2)
+    # reads its commutators off Lyndon structure constants, so verify forms
+    # the polynomial products of the z table and no more: on a warm z table
+    # the commutator table forms none.
     alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
     pres = Presentation(alphabet, field, rels, images, 8)
+    gb = pres.groebner()   # a fresh basis, so no bracket is cached yet
+    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=alphabet.lex_key)
     products, mul = [], Polynomial.__mul__
 
     def counted(self, other):
@@ -161,12 +171,114 @@ def test_condition1_forms_no_bracket_outside_the_z_table(monkeypatch):
     verify_structure_theorem(pres)
     in_verify = len(products)
     products.clear()
-    gb = pres.groebner()   # a fresh basis, so no bracket is cached yet
-    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=alphabet.lex_key)
     for u in gamma:
         _nf_bracket(gb, u)
+    in_z_table = len(products)
+    products.clear()
     structure._commutator_coordinates(gb, gamma)
-    assert in_verify == len(products) > 0
+    assert products == []
+    assert in_verify == in_z_table > 0
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 1, 2)], ids=["two-letters", "three-mixed"])
+def test_lie_structure_constants_equal_reference_commutators(degrees):
+    # [[u], [v]] = sum a_w [w] in the free algebra, each bracket expanded by
+    # the reference definition, for every Lyndon pair u > v up to degree 8.
+    brackets = {w: reference_bracket(w) for w in graded_words(degrees, 8) if brute_is_lyndon(w)}
+    degree = {w: sum(degrees[i] for i in w) for w in brackets}
+    memo, checked = {}, 0
+    for u in brackets:
+        for v in brackets:
+            if compare_lex(u, v) != GREATER or degree[u] + degree[v] > 8:
+                continue
+            expected = _times(brackets[u], brackets[v])
+            for w, c in _times(brackets[v], brackets[u]).items():
+                expected[w] = expected.get(w, 0) - c
+            total = {}
+            for w, a in structure._lie_structure_constants(u, v, memo).items():
+                assert w in brackets and a != 0
+                for x, c in brackets[w].items():
+                    total[x] = total.get(x, 0) + a * c
+            assert ({x: c for x, c in total.items() if c}
+                    == {x: c for x, c in expected.items() if c}), (u, v)
+            checked += 1
+    assert checked > 100, checked
+
+
+def test_lie_structure_constants_need_no_python_recursion():
+    # A naive recursion on [[y^k x x], [x]] nests about k calls deep.  The
+    # explicit stack does not; its value is checked on random matrices mod p,
+    # where each Lyndon bracket is a matrix commutator.
+    k, p = 40, 10007
+    u, v = (1,) * k + (0, 0), (0,)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 20)
+    try:
+        constants = structure._lie_structure_constants(u, v, {})
+    finally:
+        sys.setrecursionlimit(limit)
+    rng = random.Random(3)
+    letters = [[[rng.randrange(p) for _ in range(3)] for _ in range(3)] for _ in range(2)]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) % p for j in range(3)] for i in range(3)]
+
+    def bracket(a, b):
+        ab, ba = mul(a, b), mul(b, a)
+        return [[(ab[i][j] - ba[i][j]) % p for j in range(3)] for i in range(3)]
+
+    values = {}
+
+    def value(w):   # the Lyndon bracket [w] evaluated on the letter matrices
+        if w not in values:
+            left, right = reference_shirshov_split(w) if len(w) > 1 else (None, None)
+            values[w] = letters[w[0]] if left is None else bracket(value(left), value(right))
+        return values[w]
+
+    total = [[0] * 3 for _ in range(3)]
+    for w, a in constants.items():
+        assert brute_is_lyndon(w) and sorted(w) == sorted(u + v)
+        total = [[(total[i][j] + a * value(w)[i][j]) % p for j in range(3)] for i in range(3)]
+    assert total == bracket(value(u), value(v))
+
+
+def _times(f, g):
+    out = {}
+    for u, a in f.items():
+        for v, b in g.items():
+            out[u + v] = out.get(u + v, 0) + a * b
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:2", "Fp:3", "Fp:7"])
+def test_commutator_table_on_random_lie_presentations(spec):
+    # Relations that are combinations of Lyndon brackets span a Hopf ideal
+    # for the standard coproduct, so verify reaches condition (2); their
+    # leading words make some Lyndon words reducible, whose c(w) is not e_w.
+    field, rng = _parse_field(spec), random.Random(spec)
+    checked = reducible = 0
+    for degrees in [(1, 1), (1, 1, 2), (1, 2)] * 4:
+        alphabet = Alphabet([(f"x{i}", d) for i, d in enumerate(degrees)])
+        relations = []
+        for _ in range(rng.randint(1, 2)):
+            n = rng.randint(2, 4)
+            pool = [w for w in enumerate_lyndon(alphabet, n) if alphabet.degree(w) == n]
+            f = Polynomial.zero(alphabet, field)
+            for w in rng.sample(pool, k=min(len(pool), 2)):
+                c = field.of_int(rng.randint(1, 6))
+                f = f + standard_bracket(alphabet, w, field).scale(c)
+            if f:
+                relations.append(f)
+        report = verify_structure_theorem(Presentation(alphabet, field, relations, None, 7))
+        assert report.hypotheses_ok
+        gb = report.gb
+        for (u, v), coords in report.commutators.items():
+            free = commutator(standard_bracket(alphabet, u, field),
+                              standard_bracket(alphabet, v, field))
+            assert list(coords.items()) == list(bracket_coordinates(free, gb).items()), (u, v)
+            checked += 1
+        reducible += sum(map(gb.is_reducible_word, enumerate_lyndon(alphabet, gb.bound)))
+    assert checked > 100 and reducible > 50, (checked, reducible)
 
 
 def _coproduct_remainder_coordinates(comul, gb, f):

@@ -494,6 +494,42 @@ def test_left_antipode_law_holds_by_construction():
     assert checked >= 60, checked
 
 
+def test_antipode_legs_append_words_without_a_product(monkeypatch):
+    # m(S (x) id) and m(id (x) S) append the other leg's word to each word of
+    # S(a) or S(b): the terms of the product, in its order, with no product formed.
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "fixtures").glob("*.json"),
+                    *(root / "perfbench" / "presentations").glob("*.json")])
+    cases = []
+    for path in paths:
+        for field in (None, PrimeField(7), PrimeField(2)):
+            try:
+                alphabet, field, relations, images, _digest, bound = parse_presentation(
+                    str(path), field, 6)
+                comul = Comultiplication(alphabet, field, images)
+                gb = compute_truncated_gb(alphabet, field, relations, min(bound, 6))
+                antipode = Antipode(comul, gb, precheck=False)
+            except ValueError:
+                continue
+            word = lambda w: Polynomial.from_word(alphabet, field, w)
+            for x in range(alphabet.size):
+                for a, b in comul.image(x).coeffs:
+                    s_a, s_b = antipode._of_word(a), antipode._of_word(b)
+                    cases.append((antipode, (a, b), {a: s_a, b: s_b}, s_a * word(b), word(a) * s_b))
+    products, mul = [], Polynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for antipode, pair, images, s_id, id_s in cases:
+        monkeypatch.setattr(antipode, "_of_word", images.__getitem__)
+        for got, expected in ((antipode._s_id(pair), s_id), (antipode._id_s(pair), id_s)):
+            assert got == expected and list(got.coeffs) == list(expected.coeffs)
+    assert products == [] and len(cases) >= 150, len(cases)
+
+
 def test_antipode_is_antimultiplicative_mod_ideal():
     comul = pair_comul()
     gb = pair_gb()
