@@ -13,9 +13,12 @@ so by Bergman's diamond lemma the composition resolves through the pieces
 it splits into, each disjoint, nested or an overlap on a shorter word.
 
 Every question about words reads one Aho–Corasick automaton of the leading
-words, rebuilt on the first query after a basis change: a rewrite is one
-pass over the word, reducibility a final state, and the word searches and
-the dimension count step a state beside each prefix.
+words: a rewrite is one pass over the word, reducibility a final state, and
+the word searches and the dimension count step a state beside each prefix.
+A word meets a leading word of its degree or higher only as itself, so a
+basis change of degree ``d`` leaves the automaton, and the memo of rewrites
+by proper factors (words of one degree), valid on words of degree <= ``d``:
+completion builds the automaton once per degree.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import bisect
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .poly import Polynomial, TensorElement, _shirshov_bracket
 from .word import is_lyndon, lyndon_words, words_of_degree
@@ -53,7 +56,11 @@ class TruncatedGB:
         self.bound = bound
         self.elements: list[Polynomial] = []   # glex ascending by leading word
         self._lw_index: dict = {}               # leading word -> _integral(element)
-        self._automaton = None                  # built on demand, see _tables
+        self._automaton = None                  # exact on words of degree <= _exact_to
+        self._exact_to = -1
+        self._factor_memo: dict = {}            # see _factor_rewrite; words of _memo_degree
+        self._memo_degree = 0
+        self._memo_key = bytes if alphabet.size <= 256 else tuple   # a third of a tuple
         self._nf_bracket_cache: dict = {}
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -64,30 +71,36 @@ class TruncatedGB:
     def _insert(self, g: Polynomial):
         bisect.insort(self.elements, g, key=lambda h: self.alphabet.glex_key(h.leading_word()))
         self._lw_index[g.leading_word()] = _integral(g.coeffs)
-        self._basis_changed()
+        self._basis_changed(g.degree())
 
     def _remove(self, idx: int):
         g = self.elements.pop(idx)
         del self._lw_index[g.leading_word()]
-        self._basis_changed()
+        self._basis_changed(g.degree())
         return g
 
-    def _basis_changed(self):
-        self._automaton = None
+    def _basis_changed(self, degree: int):
+        """A leading word of ``degree`` came or went; words of that degree or
+        lower meet it only as themselves, so the automaton and memo hold."""
+        self._exact_to = min(self._exact_to, degree)
+        if degree < self._memo_degree:
+            self._factor_memo.clear()
         self._nf_bracket_cache.clear()
 
-    def _tables(self):
-        """The automaton of the leading words, built on the first query
-        after a basis change (``_leading_word_automaton``)."""
-        if self._automaton is None:
+    def _tables(self, degree=inf):
+        """The automaton of the leading words (``_leading_word_automaton``),
+        exact on words of degree at most ``degree``: rebuilt only when a
+        leading word of lower degree came or went since the last build."""
+        if self._exact_to < degree:
             self._automaton = _leading_word_automaton(self.leading_words(), self.alphabet.size)
+            self._exact_to = inf
         return self._automaton
 
     # -- word-level reducibility ----------------------------------------------
 
     def is_reducible_word(self, w) -> bool:
         """True iff some basis leading word occurs as a factor of ``w``."""
-        return self._find_rewrite(w) is not None
+        return w in self._lw_index or self._factor_rewrite(w) is not None
 
     def _find_rewrite(self, w, tables=None):
         """The glex-smallest leading word that occurs in ``w``, the integral
@@ -96,6 +109,7 @@ class TruncatedGB:
         One pass of the automaton: each state names the smallest leading
         word ending there, and a match replaces the one kept only when it is
         strictly smaller, so of equal matches the first position stays.
+        On ``_tables(d)``, ``w`` itself may match though gone (form None).
         """
         goto, _, rank, words = tables or self._tables()
         best = len(words)
@@ -108,31 +122,47 @@ class TruncatedGB:
         if best == len(words):
             return None
         lw = words[best]
-        return lw, self._lw_index[lw], end + 1 - len(lw)
+        return lw, self._lw_index.get(lw), end + 1 - len(lw)
 
     # -- reduction -------------------------------------------------------------
 
     def _reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of ``f`` by single rewrite steps.
-
-        Each step rewrites the glex-largest reducible support word with
-        ``_find_rewrite`` (see ``_eliminate``) and the element's ``_integral``
-        form stored by ``_insert``; a word without a rewrite is final.
-        """
+        """Normal form of ``f`` by single rewrite steps (``_rewrite``) down
+        the glex-largest reducible support word (see ``_eliminate``); each
+        word's rewrite by a proper factor is found once per degree."""
         if not self.elements or not f.coeffs:
             return f
-        tables = self._tables()
-
-        def rewrite(w):
-            found = self._find_rewrite(w, tables)
-            if found is None:
-                return None
-            lw, (scale, multiple), i = found
-            prefix, suffix = w[:i], w[i + len(lw):]
-            return scale, ((prefix + u + suffix, a) for u, a in multiple.items())
-
-        kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, rewrite)
+        kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, self._rewrite)
         return Polynomial(self.alphabet, self.field, kept, _normalized=True)
+
+    def _factor_rewrite(self, w):
+        """``_find_rewrite`` of ``w`` by a proper factor (of lower degree, so
+        glex smaller than ``w``) or None; memoized, one value per ``(lw, i)``."""
+        key = self._memo_key(w)
+        found = self._factor_memo.get(key, False)   # False: not looked up yet
+        if found is False:
+            degree = self.alphabet.degree(w)
+            if degree != self._memo_degree:
+                self._factor_memo.clear()
+                self._memo_degree = degree
+            found = self._find_rewrite(w, self._tables(degree))
+            if found is not None:   # w itself may be gone since the automaton was built
+                found = None if len(found[0]) == len(w) else \
+                    self._factor_memo.setdefault((found[0], found[2]), found)
+            self._factor_memo[key] = found
+        return found
+
+    def _rewrite(self, w):
+        """``(L, terms of L g)`` for the glex-smallest leading word of ``g``
+        in ``w``, at its first position, or None: a proper factor
+        (``_factor_rewrite``), else ``w`` itself, read off the index."""
+        found = self._factor_rewrite(w)
+        if found is None:
+            form = self._lw_index.get(w)
+            return form and (form[0], form[1].items())
+        lw, (scale, multiple), i = found
+        prefix, suffix = w[:i], w[i + len(lw):]
+        return scale, ((prefix + u + suffix, a) for u, a in multiple.items())
 
     def nf_word(self, w) -> Polynomial:
         """Normal form of the word ``w``."""
@@ -325,27 +355,33 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
     re-reduce each element whose tail holds a degree-``n`` leading word found
     after it; queue the overlaps of each ordered pair with a degree-``n`` member.
     """
-    gb = TruncatedGB(alphabet, field, bound)
+    gb, p = TruncatedGB(alphabet, field, bound), field.char
     inputs = [[] for _ in range(bound + 1)]     # per degree: relations, then compositions
-    overlaps = [[] for _ in range(bound + 1)]   # per degree: (f, g, k)
+    overlaps = [[] for _ in range(bound + 1)]   # per degree: (l1, l2, k)
     for i, rel in enumerate(relations):
         if rel.alphabet != alphabet or rel.field != field:
             raise ValueError(f"relation {i + 1} has mismatched alphabet or scalar mode")
         _validate_relation(rel, bound, f"relation {i + 1}")
         inputs[rel.degree()].append(rel)
     for n in range(1, bound + 1):
-        for f, g, k in overlaps[n]:
-            l1, l2 = f.leading_word(), g.leading_word()
+        for l1, l2, k in overlaps[n]:
             if gb.is_reducible_word((l1 + l2[k:])[1:-1]):
                 continue   # resolvable through compositions of lower degree
-            left_tail = Polynomial.from_word(alphabet, field, l2[k:])
-            right_head = Polynomial.from_word(alphabet, field, l1[:len(l1) - k])
-            inputs[n].append(f * left_tail - right_head * g)
+            # f t - h g times Lf Lg, from the integral forms: same monic remainder
+            (lf, f), (lg, g), t, h = gb._lw_index[l1], gb._lw_index[l2], l2[k:], l1[:-k]
+            comp = {u + t: lg * a for u, a in f.items()}
+            for u, a in g.items():
+                v = h + u
+                comp[v] = comp.get(v, 0) - lf * a
+            if p:
+                comp = {v: c % p for v, c in comp.items()}
+            inputs[n].append(Polynomial(alphabet, field, comp))   # drops the zeros
         start = len(gb.elements)   # glex is graded: degree n sorts last
         for f in inputs[n]:
             f = gb._reduce(f)
             if f.coeffs:
                 gb._insert(f.scale(field.inv(f.leading_coefficient())))
+        inputs[n] = overlaps[n] = None   # spent: free them while the degrees above run
         # Tails are reduced by the lower degrees; a degree-n factor is the whole word.
         found = {g.leading_word() for g in gb.elements[start:]}
         for idx in range(start, len(gb.elements)):
@@ -359,7 +395,7 @@ def compute_truncated_gb(alphabet, field, relations, bound: int) -> TruncatedGB:
             for k in _overlap_positions(l1, l2):
                 deg = alphabet.degree(l1 + l2[k:])
                 if deg <= bound:
-                    overlaps[deg].append((f, g, k))
+                    overlaps[deg].append((l1, l2, k))
     return gb
 
 

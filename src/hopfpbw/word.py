@@ -66,6 +66,8 @@ class Alphabet:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.size = len(self.names)
         self._degree_of = self.degrees.__getitem__
+        # all letters of one degree: a word's degree is it times the length
+        self._letter_degree = self.degrees[0] if len(set(self.degrees)) == 1 else 0
         self.glex_key = _GlexKeys(self._degree_of).__getitem__
 
     def __eq__(self, other):
@@ -89,6 +91,8 @@ class Alphabet:
         return tuple(self.letter(n) for n in names)
 
     def degree(self, w: Word) -> int:
+        if self._letter_degree:
+            return self._letter_degree * len(w)
         return sum(map(self._degree_of, w))
 
     def lex_key(self, w: Word):

@@ -4,6 +4,7 @@ import gc
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -616,6 +617,122 @@ def test_reduce_of_monic_systems_matches_reference(field, data):
         _assert_scalars_normal(field, got)
 
 
+class _TrackedSystem:
+    """A ``TruncatedGB`` on HEIS beside its own plain copy of the system, so
+    each ``_reduce`` is compared with the reference on the system as it
+    stands at that moment."""
+
+    def __init__(self, field):
+        self.field = field
+        self.gb = TruncatedGB(HEIS, field, 8)
+        self.system = {}   # leading word -> coefficients
+
+    def insert(self, g):
+        assert g.leading_coefficient() == self.field.one
+        self.gb._insert(g)
+        self.system[g.leading_word()] = g.coeffs
+
+    def remove(self, lw):
+        idx = self.gb.leading_words().index(lw)
+        assert self.gb._remove(idx).leading_word() == lw
+        del self.system[lw]
+
+    def check(self, f):
+        got = self.gb._reduce(f).coeffs
+        expected = reference_reduce(HEIS.degrees, list(self.system.values()), f.coeffs,
+                                    self.field.char or None)
+        assert list(got.items()) == list(expected.items())
+        return got
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_reduce_follows_scripted_basis_changes(field):
+    # The rewrite memo and the automaton outlive basis changes of their own
+    # degree or higher; each step below breaks one of them if it outlives
+    # a change it should not.
+    tracked = _TrackedSystem(field)
+
+    def poly(src):
+        return parse_polynomial(src, HEIS, field)
+
+    tracked.insert(poly("x2*x1*x2 - x1^3"))
+    w4 = poly("x2*x2*x1*x2 + 2*x2*x1*x2*x1 + x3*x2*x1")
+    assert tracked.check(w4) != w4.coeffs   # memo and automaton now at degree 4
+    # a lower-degree insert after higher-degree reductions
+    tracked.insert(poly("x2*x1 - x1*x2"))
+    tracked.check(w4)
+    # the same leading word removed, then inserted again with another tail
+    tracked.remove(HEIS.word("x2", "x1"))
+    tracked.check(w4)
+    tracked.insert(poly("x2*x1 - x1^2"))
+    tracked.check(w4)
+    # an inhomogeneous tail
+    tracked.insert(poly("x3*x1 - x1*x3 - x1 - 1"))
+    tracked.check(poly("x3*x1*x2 + x2*x3*x1 + x3*x1"))
+    # words longer than a just-inserted leading word of the memo's degree
+    tracked.insert(poly("x2*x2*x2 - x1*x2*x2"))
+    tracked.check(poly("x2*x2*x2*x2 + x1*x2*x2*x2*x2 + x3*x2*x2*x2"))
+
+
+def test_reduce_on_an_alphabet_past_one_byte_per_letter():
+    # a letter index above 255 has no byte, so the memo keys such words by tuple
+    big = Alphabet([(f"g{i}", 1) for i in range(300)])
+    gb = TruncatedGB(big, QQ, 4)
+    gb._insert(parse_polynomial("g299*g0 - g0*g299", big, QQ))
+    f = parse_polynomial("g299*g0*g299*g0 + g299*g299*g0", big, QQ)
+    expected = reference_reduce(big.degrees, [g.coeffs for g in gb.elements], f.coeffs)
+    for _ in range(2):   # the second pass reads the memo
+        assert list(gb._reduce(f).coeffs.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduce_follows_interleaved_basis_changes(field, data):
+    # Inserts, removals and re-inserts of any degree between reductions, and
+    # inputs reduced again after a change.  A tail stays in its leading
+    # word's degree or reaches lower ones; an input is a word built around
+    # the leading words present, with another word of its degree.
+    tracked = _TrackedSystem(field)
+    scalars = (st.fractions(-4, 4, max_denominator=6) if field.char == 0
+               else st.integers(1, field.char - 1))
+    candidates = [w for w in _HEIS_WORDS if 1 <= HEIS.degree(w) <= 4]
+
+    def element(lw):
+        lower = data.draw(st.booleans())
+        smaller = [w for w in _HEIS_WORDS if HEIS.glex_key(w) < HEIS.glex_key(lw)
+                   and (lower or HEIS.degree(w) == HEIS.degree(lw))]
+        tail = data.draw(st.dictionaries(st.sampled_from(smaller), scalars, max_size=3)
+                         if smaller else st.just({}))
+        return Polynomial(HEIS, field, {**{w: field.of_fraction(c) for w, c in tail.items()},
+                                        lw: field.one})
+
+    def scaled(words):
+        return Polynomial(HEIS, field, {w: field.of_fraction(data.draw(scalars)) for w in words})
+
+    inputs = []
+    for _ in range(data.draw(st.integers(4, 14))):
+        present = list(tracked.system)
+        op = data.draw(st.sampled_from(["insert", "remove", "reinsert", "reduce", "again"]))
+        if op == "insert" or not present:
+            free = [w for w in candidates if w not in tracked.system]
+            tracked.insert(element(data.draw(st.sampled_from(free))))
+        elif op in ("remove", "reinsert"):
+            lw = data.draw(st.sampled_from(present))
+            tracked.remove(lw)
+            if op == "reinsert":
+                tracked.insert(element(lw))
+        elif op == "again" and inputs:
+            tracked.check(inputs[-1])
+        else:
+            pieces = st.one_of(st.sampled_from(present), st.sampled_from([(0,), (1,), (2,)]))
+            w = data.draw(st.lists(pieces, min_size=1, max_size=3).map(
+                lambda ws: sum(ws, ())[:5]))
+            same = [u for u in _HEIS_WORDS if HEIS.degree(u) == HEIS.degree(w)] or [w]
+            inputs.append(scaled({w, data.draw(st.sampled_from(same))}))
+            tracked.check(inputs[-1])
+
+
 @pytest.mark.parametrize("alphabet", [AB2, HEIS, Alphabet([("a", 2), ("b", 1), ("c", 3)])],
                          ids=["ab2", "heis", "weighted"])
 def test_elimination_pops_words_in_descending_glex_order(alphabet):
@@ -895,6 +1012,47 @@ def test_interior_criterion_skips_reductions(monkeypatch):
     assert len(calls) == 97
     assert gb.leading_words() == [SKLYANIN.word(*w) for w in SKLYANIN_LEADING_WORDS]
     assert gb.dimensions() == [(n + 1) * (n + 2) // 2 for n in range(10)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_completion_finds_each_rewrite_once_per_degree(monkeypatch, field):
+    # Degree n's inputs hold words of degree n; its overlap interiors, asked
+    # before them, are of degree n - 2 (Sklyanin letters are of degree 1).
+    builds, finds, products, completing = [], [], [], [0]
+    build, find, multiply = rewrite._leading_word_automaton, TruncatedGB._find_rewrite, \
+        Polynomial.__mul__
+    reduce, reducible = TruncatedGB._reduce, TruncatedGB.is_reducible_word
+
+    def counted_build(*args):
+        builds.append(completing[0])
+        return build(*args)
+
+    def counted_find(gb, w, tables=None):
+        finds.append((completing[0], w))
+        return find(gb, w, tables)
+
+    def counted_product(f, g):
+        products.append(f)
+        return multiply(f, g)
+
+    def reduce_input(gb, f):
+        completing[0] = f.degree()
+        return reduce(gb, f)
+
+    def interior(gb, w):
+        completing[0] = len(w) + 2
+        return reducible(gb, w)
+
+    monkeypatch.setattr(rewrite, "_leading_word_automaton", counted_build)
+    monkeypatch.setattr(TruncatedGB, "_find_rewrite", counted_find)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_product)
+    monkeypatch.setattr(TruncatedGB, "_reduce", reduce_input)
+    monkeypatch.setattr(TruncatedGB, "is_reducible_word", interior)
+    gb = compute_truncated_gb(SKLYANIN, field, sklyanin_relations(7, -3, -8, field), 9)
+    assert len(gb.elements) == len(SKLYANIN_LEADING_WORDS)
+    assert len(builds) == len(set(builds)) <= gb.bound   # 34 when each insert dropped it
+    assert max(Counter(finds).values()) == 1             # 10 when nothing was kept
+    assert products == []
 
 
 def test_reduction_leaves_the_glex_key_table_alone():

@@ -30,6 +30,13 @@ AB3 = Alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
 X1, X2 = 0, 1
 
 
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 2, 2), (1, 2), (3, 1, 3)])
+def test_word_degree_is_the_sum_of_its_letter_degrees(degrees):
+    alphabet = Alphabet([(f"a{i}", d) for i, d in enumerate(degrees)])
+    for w in all_words(alphabet.size, 4):
+        assert alphabet.degree(w) == sum(alphabet.degrees[c] for c in w)
+
+
 def test_compare_lex_examples():
     # a word is greater than its own square; extending after a difference keeps order
     assert compare_lex((X1,), (X1, X1)) == GREATER
