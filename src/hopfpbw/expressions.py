@@ -219,15 +219,14 @@ def render_word(alphabet, w, sep: str = " ") -> str:
 def _word_mul(alphabet, w) -> str:
     if not w:
         return "1"
-    pieces = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        name = alphabet.names[w[i]]
-        pieces.append(name if j - i == 1 else f"{name}^{j - i}")
-        i = j
+    names, pieces = alphabet.names, []
+    run, count = w[0], 0
+    for x in w:   # one pass; each run of a letter becomes ``name`` or ``name^count``
+        if x != run:
+            pieces.append(names[run] if count == 1 else f"{names[run]}^{count}")
+            run, count = x, 0
+        count += 1
+    pieces.append(names[run] if count == 1 else f"{names[run]}^{count}")
     return "*".join(pieces)
 
 

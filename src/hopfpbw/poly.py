@@ -259,7 +259,22 @@ def multiply(f, g):
 
 
 def commutator(f, g):
-    return f * g - g * f
+    """``fg - gf`` of two polynomials or two tensor elements, in one pass over
+    the term pairs: each ``a*b`` is added at ``uv`` and subtracted at ``vu`` in
+    one mapping, which is sorted once."""
+    f._check_compatible(g)
+    field = f.field
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
+    product = f._key_product
+    out = {}
+    for u, a in f.coeffs.items():
+        for v, b in g.coeffs.items():
+            c = mul(a, b)
+            k = product(u, v)
+            out[k] = add(out.get(k, zero), c)
+            k = product(v, u)
+            out[k] = sub(out.get(k, zero), c)
+    return type(f)(f.alphabet, field, out)
 
 
 def leading_word(f: Polynomial) -> Word:
@@ -277,20 +292,22 @@ def _shirshov_bracket(alphabet: Alphabet, field, w: Word, memo: dict, reduce=Non
     complete system) thus never builds ``[w]``."""
     if w in memo:
         return memo[w]
-    stack = [w]   # a post-order walk: a word is revisited once its halves are known
+    # A post-order walk: a word is revisited, with the halves of its one
+    # factorization, once both halves are known.
+    stack = [(w, None)]
     while stack:
-        v = stack.pop()
+        v, halves = stack.pop()
         if v in memo:
             continue
         if len(v) <= 1:
             value = Polynomial.from_word(alphabet, field, v)
         else:
-            left, right = shirshov_factorization(v)
+            left, right = halves or shirshov_factorization(v)
             if left not in memo or right not in memo:
-                stack += [v, right, left]
+                stack += [(v, (left, right)), (right, None), (left, None)]
                 continue
             bl, br = memo[left], memo[right]
-            value = bl * br - br * bl if is_lyndon(v) else bl * br
+            value = commutator(bl, br) if is_lyndon(v) else bl * br
         memo[v] = value if reduce is None else reduce(value)
     return memo[w]
 

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from hopfpbw import Polynomial, commutator
+from hopfpbw import Polynomial
 from hopfpbw.word import GREATER, compare_lex
 
 
@@ -416,17 +416,24 @@ def necklace_count(k, n):
 
 
 def dynkin_map(f: Polynomial) -> Polynomial:
-    """Right-nested bracketing of each word: w = a1..an -> [a1,[a2,[...]]]."""
-    alphabet, field = f.alphabet, f.field
-    out = Polynomial.zero(alphabet, field)
+    """Right-nested bracketing of each word: w = a1..an -> [a1,[a2,[...]]],
+    expanded on plain dicts with integer coefficients, as in
+    ``reference_bracket``."""
+    field = f.field
+    out = {}
     for w, c in f.coeffs.items():
         if not w:
             continue
-        acc = Polynomial.from_word(alphabet, field, (w[-1],))
+        acc = {(w[-1],): 1}
         for letter in reversed(w[:-1]):
-            acc = commutator(Polynomial.from_word(alphabet, field, (letter,)), acc)
-        out = out + acc.scale(c)
-    return out
+            nested = {}
+            for u, a in acc.items():
+                nested[(letter,) + u] = nested.get((letter,) + u, 0) + a
+                nested[u + (letter,)] = nested.get(u + (letter,), 0) - a
+            acc = nested
+        for u, a in acc.items():
+            out[u] = field.add(out.get(u, field.zero), field.mul(c, field.of_int(a)))
+    return Polynomial(f.alphabet, field, out)
 
 
 def is_lie_by_dynkin(f: Polynomial) -> bool:

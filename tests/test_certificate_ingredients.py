@@ -30,6 +30,7 @@ from hopfpbw.cli import _parse_field, parse_presentation
 from hopfpbw.poly import primitive_part
 from hopfpbw.rewrite import _nf_bracket
 from hopfpbw.word import GREATER, compare_lex, shirshov_factorization
+import hopfpbw.poly as poly
 import hopfpbw.structure as structure
 
 from helpers import (brute_is_lyndon, graded_words, reference_bracket, reference_shirshov_split,
@@ -136,17 +137,31 @@ def test_shirshov_factors_come_before_their_word(name):
             assert all(position.get(f, i) < i for f in shirshov_factorization(u)), u
 
 
+def _count_products(monkeypatch, cls):
+    """A list that gains one entry per product ``*`` or ``commutator`` formed
+    on ``cls`` operands, wherever the library calls ``commutator`` from."""
+    products, mul, bracket = [], cls.__mul__, poly.commutator
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    def counted_commutator(f, g):
+        if type(f) is cls:
+            products.append(1)
+        return bracket(f, g)
+
+    monkeypatch.setattr(cls, "__mul__", counted_mul)
+    for module in (poly, structure):
+        monkeypatch.setattr(module, "commutator", counted_commutator)
+    return products
+
+
 def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
     # Every letter of free2 is primitive, so Delta' is 0 on every node of the
     # walk; building Delta[u] would form two tensor products per bracket node.
     alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
-    products, mul = [], TensorElement.__mul__
-
-    def counted(self, other):
-        products.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    products = _count_products(monkeypatch, TensorElement)
     report = verify_structure_theorem(Presentation(alphabet, field, rels, images, 8))
     assert report.condition1.ok and len(report.gamma) == 71
     assert products == []
@@ -155,19 +170,13 @@ def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
 def test_condition1_forms_no_bracket_outside_the_z_table(monkeypatch):
     # Condition (1) reads z_u = NF([u]) from the z table and condition (2)
     # reads its commutators off Lyndon structure constants, so verify forms
-    # the polynomial products of the z table and no more: on a warm z table
-    # the commutator table forms none.
+    # the polynomial products and commutators of the z table and no more: on
+    # a warm z table the commutator table forms none.
     alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
     pres = Presentation(alphabet, field, rels, images, 8)
     gb = pres.groebner()   # a fresh basis, so no bracket is cached yet
     gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=alphabet.lex_key)
-    products, mul = [], Polynomial.__mul__
-
-    def counted(self, other):
-        products.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    products = _count_products(monkeypatch, Polynomial)
     verify_structure_theorem(pres)
     in_verify = len(products)
     products.clear()

@@ -4,6 +4,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,9 @@ from hopfpbw import (
 )
 from hopfpbw import rewrite, structure
 from hopfpbw.cli import parse_presentation, run
+from hopfpbw.expressions import _word_mul
+
+from helpers import all_words
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,6 +119,14 @@ def test_render_parse_roundtrip_tensors():
 def test_render_canonical_order_is_glex_descending():
     f = parse_polynomial("x1 + x3 + x1*x2", AB, QQ)
     assert render_polynomial(f) == "x3 + x1*x2 + x1"
+
+
+def test_word_rendering_equals_its_run_length_encoding():
+    alphabet = Alphabet([("b", 2), ("a", 1), ("c", 1)])
+    for w in all_words(3, 7):   # the empty word included
+        runs = [(alphabet.names[x], len(list(run))) for x, run in groupby(w)]
+        want = "*".join(name if n == 1 else f"{name}^{n}" for name, n in runs) or "1"
+        assert _word_mul(alphabet, w) == want, w
 
 
 # -- presentation files ----------------------------------------------------------

@@ -26,9 +26,10 @@ from hopfpbw import (
     standard_comultiplication,
 )
 from hopfpbw.poly import binomial
-from hopfpbw.word import GREATER, LESS, compare_lex
+from hopfpbw.word import GREATER, LESS, compare_lex, shirshov_factorization
+import hopfpbw.poly as poly
 
-from helpers import all_words, graded_words, reference_bracket
+from helpers import all_words, graded_words, reference_bracket, reference_shirshov_split
 
 AB2 = Alphabet([("x1", 1), ("x2", 1)])
 AB3 = Alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
@@ -47,15 +48,17 @@ def test_multiplication_examples():
 
 
 def test_multiplication_mixed_modes_rejected():
-    with pytest.raises(ValueError):
-        P("x1") * P("x1", field=PrimeField(5))
-    with pytest.raises(ValueError):
-        P("x1") * P("x1", alphabet=AB3)
+    for other, message in ((P("x1", field=PrimeField(5)), "mixed scalar modes"),
+                           (P("x1", alphabet=AB3), "different alphabets")):
+        for op in (multiply, commutator):
+            with pytest.raises(ValueError, match=message):
+                op(P("x1"), other)
     # a polynomial never combines with a tensor element, in either order
     x = P("x1")
     t = TensorElement.of(x, P("x2"))
     for mixed in (lambda: x + t, lambda: x * t, lambda: t * x, lambda: t - x,
-                  lambda: multiply(x, t), lambda: multiply(t, x)):
+                  lambda: multiply(x, t), lambda: multiply(t, x),
+                  lambda: commutator(x, t), lambda: commutator(t, x)):
         with pytest.raises(ValueError, match="Polynomial and TensorElement|TensorElement and Polynomial"):
             mixed()
     assert not x == t and not t == x
@@ -130,7 +133,8 @@ def _combinations(cls, field):
     and small scalars, zero included, so that sums and products cancel."""
     keys = (st.sampled_from(_MIXED_WORDS) if cls is Polynomial
             else st.tuples(st.sampled_from(_MIXED_LEGS), st.sampled_from(_MIXED_LEGS)))
-    scalars = st.fractions(-3, 3, max_denominator=4)
+    scalars = st.fractions(-3, 3, max_denominator=4).filter(   # invertible in the field
+        lambda q: not field.char or q.denominator % field.char)
     return st.dictionaries(keys, scalars, max_size=6).map(
         lambda coeffs: cls(MIXED, field, {k: field.of_fraction(c) for k, c in coeffs.items()}))
 
@@ -162,6 +166,41 @@ def test_support_order_is_glex_descending_by_recomputed_keys(cls, field, data):
     for h in (f, g, f + g, f - g, g - f, f * g):
         keys = list(h.coeffs)
         assert keys == sorted(keys, key=key, reverse=True)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=repr)
+@_CLASSES
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commutator_equals_the_difference_of_products(cls, field, data):
+    f, g = data.draw(_combinations(cls, field)), data.draw(_combinations(cls, field))
+    # f with itself and with a polynomial in f: products whose supports cancel
+    for x, y in ((f, g), (g, f), (f, f), (f, f * f + f.scale(field.of_int(3)))):
+        got, want = commutator(x, y), x * y - y * x
+        assert got == want
+        assert [(k, c, type(c)) for k, c in got.coeffs.items()] == \
+            [(k, c, type(c)) for k, c in want.coeffs.items()]
+    assert commutator(f, f).is_zero() and commutator(f, f * f).is_zero()
+
+
+def test_cold_bracket_walk_factorizes_each_node_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return shirshov_factorization(w)
+
+    monkeypatch.setattr(poly, "shirshov_factorization", counted)
+    for w in all_words(3, 7):
+        nodes, stack = set(), [w]
+        while stack:
+            u = stack.pop()
+            if len(u) >= 2 and u not in nodes:
+                nodes.add(u)
+                stack.extend(reference_shirshov_split(u))
+        calls.clear()
+        poly._shirshov_bracket(AB3, QQ, w, {})
+        assert sorted(calls) == sorted(nodes), w
 
 
 def test_prime_field_agrees_with_reduction():
