@@ -16,9 +16,8 @@ Every question about words reads one Aho–Corasick automaton of the leading
 words: a rewrite is one pass over the word, reducibility a final state, and
 the word searches and the dimension count step a state beside each prefix.
 A word meets a leading word of its degree or higher only as itself, so a
-basis change of degree ``d`` leaves the automaton, and the memo of rewrites
-by proper factors (words of one degree), valid on words of degree <= ``d``:
-completion builds the automaton once per degree.
+basis change of degree ``d`` leaves the automaton valid on words of degree
+<= ``d``: completion builds the automaton once per degree.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class TruncatedGB:
         self._lw_index: dict = {}               # leading word -> _integral(element)
         self._automaton = None                  # exact on words of degree <= _exact_to
         self._exact_to = -1
-        self._factor_memo: dict = {}            # see _factor_rewrite; words of _memo_degree
-        self._memo_degree = 0
-        self._memo_key = bytes if alphabet.size <= 256 else tuple   # a third of a tuple
         self._nf_bracket_cache: dict = {}
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -81,10 +77,8 @@ class TruncatedGB:
 
     def _basis_changed(self, degree: int):
         """A leading word of ``degree`` came or went; words of that degree or
-        lower meet it only as themselves, so the automaton and memo hold."""
+        lower meet it only as themselves, so the automaton holds for them."""
         self._exact_to = min(self._exact_to, degree)
-        if degree < self._memo_degree:
-            self._factor_memo.clear()
         self._nf_bracket_cache.clear()
 
     def _tables(self, degree=inf):
@@ -128,8 +122,7 @@ class TruncatedGB:
 
     def _reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of ``f`` by single rewrite steps (``_rewrite``) down
-        the glex-largest reducible support word (see ``_eliminate``); each
-        word's rewrite by a proper factor is found once per degree."""
+        the glex-largest reducible support word (see ``_eliminate``)."""
         if not self.elements or not f.coeffs:
             return f
         kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, self._rewrite)
@@ -137,20 +130,9 @@ class TruncatedGB:
 
     def _factor_rewrite(self, w):
         """``_find_rewrite`` of ``w`` by a proper factor (of lower degree, so
-        glex smaller than ``w``) or None; memoized, one value per ``(lw, i)``."""
-        key = self._memo_key(w)
-        found = self._factor_memo.get(key, False)   # False: not looked up yet
-        if found is False:
-            degree = self.alphabet.degree(w)
-            if degree != self._memo_degree:
-                self._factor_memo.clear()
-                self._memo_degree = degree
-            found = self._find_rewrite(w, self._tables(degree))
-            if found is not None:   # w itself may be gone since the automaton was built
-                found = None if len(found[0]) == len(w) else \
-                    self._factor_memo.setdefault((found[0], found[2]), found)
-            self._factor_memo[key] = found
-        return found
+        glex smaller than ``w``), else None, also when ``w`` itself matches."""
+        found = self._find_rewrite(w, self._tables(self.alphabet.degree(w)))
+        return None if found is None or len(found[0]) == len(w) else found
 
     def _rewrite(self, w):
         """``(L, terms of L g)`` for the glex-smallest leading word of ``g``

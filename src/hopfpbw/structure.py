@@ -415,7 +415,7 @@ def _lyndon_coordinates(gb: TruncatedGB, w) -> dict:
     return bracket_coordinates(_nf_bracket(gb, w), gb)
 
 
-def recover_lie_generators(presentation: Presentation, report: StructureReport | None = None):
+def recover_lie_generators(presentation: Presentation):
     """For each reducible Lyndon word ``v``, the unique ideal element
     ``g = [v] - sum c_w [w]`` expressing its bracket over the irreducible
     bracket basis, with a primitivity flag.
@@ -429,7 +429,7 @@ def recover_lie_generators(presentation: Presentation, report: StructureReport |
     comul = presentation.comultiplication()
     if not comul.is_standard():
         raise ValueError("Lie-generator recovery requires the standard comultiplication")
-    gb = report.gb if report is not None else presentation.groebner()
+    gb = presentation.groebner()
     stab = check_stability(comul, gb)
     if not stab.ok:
         raise ValueError("Lie-generator recovery refused: ideal is not a coideal")

@@ -1015,10 +1015,10 @@ def test_interior_criterion_skips_reductions(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
-def test_completion_finds_each_rewrite_once_per_degree(monkeypatch, field):
+def test_completion_builds_the_automaton_once_per_degree(monkeypatch, field):
     # Degree n's inputs hold words of degree n; its overlap interiors, asked
     # before them, are of degree n - 2 (Sklyanin letters are of degree 1).
-    builds, finds, products, completing = [], [], [], [0]
+    builds, finds, products, completing, calls = [], [], [], [0], [0]
     build, find, multiply = rewrite._leading_word_automaton, TruncatedGB._find_rewrite, \
         Polynomial.__mul__
     reduce, reducible = TruncatedGB._reduce, TruncatedGB.is_reducible_word
@@ -1028,7 +1028,7 @@ def test_completion_finds_each_rewrite_once_per_degree(monkeypatch, field):
         return build(*args)
 
     def counted_find(gb, w, tables=None):
-        finds.append((completing[0], w))
+        finds.append((calls[0], w))
         return find(gb, w, tables)
 
     def counted_product(f, g):
@@ -1037,10 +1037,12 @@ def test_completion_finds_each_rewrite_once_per_degree(monkeypatch, field):
 
     def reduce_input(gb, f):
         completing[0] = f.degree()
+        calls[0] += 1
         return reduce(gb, f)
 
     def interior(gb, w):
         completing[0] = len(w) + 2
+        calls[0] += 1
         return reducible(gb, w)
 
     monkeypatch.setattr(rewrite, "_leading_word_automaton", counted_build)
@@ -1051,7 +1053,7 @@ def test_completion_finds_each_rewrite_once_per_degree(monkeypatch, field):
     gb = compute_truncated_gb(SKLYANIN, field, sklyanin_relations(7, -3, -8, field), 9)
     assert len(gb.elements) == len(SKLYANIN_LEADING_WORDS)
     assert len(builds) == len(set(builds)) <= gb.bound   # 34 when each insert dropped it
-    assert max(Counter(finds).values()) == 1             # 10 when nothing was kept
+    assert max(Counter(finds).values()) == 1             # a word once per input or interior
     assert products == []
 
 
@@ -1234,3 +1236,34 @@ def test_automaton_is_built_once_per_changed_basis(monkeypatch):
     for query in queries:
         query()
     assert len(builds) == 2
+
+
+def test_stale_automaton_rewrites_by_no_removed_leading_word(monkeypatch):
+    # After a degree-3 leading word goes, degree-3 words still read the old
+    # automaton, which matches the gone word only as a whole word.
+    builds = []
+    build = rewrite._leading_word_automaton
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rewrite, "_leading_word_automaton", counted)
+    gb = TruncatedGB(AB2, QQ, 5)
+    for src in ("x2*x2", "x2*x1*x2 - x1^3"):
+        gb._insert(parse_polynomial(src, AB2, QQ))
+    gb.dimensions()
+    gb._remove(1)
+    gb._insert(parse_polynomial("x2*x1*x1 - x1^3", AB2, QQ))
+    assert not gb.is_reducible_word(AB2.word("x2", "x1", "x2"))
+    assert gb.is_reducible_word(AB2.word("x2", "x1", "x1"))
+    f = parse_polynomial("x2*x1*x2 + x2*x1*x1", AB2, QQ)
+    reduced = gb._reduce(f)
+    assert reduced == parse_polynomial("x2*x1*x2 + x1^3", AB2, QQ)
+    assert len(builds) == 1
+    assert gb.is_reducible_word(AB2.word("x2", "x1", "x1", "x1"))
+    assert len(builds) == 2
+    fresh = TruncatedGB(AB2, QQ, 5)
+    for g in gb.elements:
+        fresh._insert(g)
+    assert fresh._reduce(f) == reduced
