@@ -13,6 +13,7 @@ claim is ever produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
 from .expressions import render_word
@@ -74,7 +75,6 @@ class StructureReport:
     triangular: CheckReport
     stability: CheckReport
     gamma: list = dataclass_field(default_factory=list)        # lex-sorted words
-    z_table: dict = dataclass_field(default_factory=dict)      # word -> normal form of its bracket
     commutators: dict = dataclass_field(default_factory=dict)  # (u, v) -> coordinates of [z_u, z_v]
     dims: list = dataclass_field(default_factory=list)
     condition1: CheckReport | None = None
@@ -83,6 +83,11 @@ class StructureReport:
     finiteness: str = ""
     gk_candidate: int | None = None
     gb: TruncatedGB | None = None
+
+    @cached_property
+    def z_table(self) -> dict:
+        """``{u: NF([u])}`` over ``gamma``, formed on first read."""
+        return {u: _nf_bracket(self.gb, u) for u in self.gamma}
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -136,12 +141,11 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     if not report.hypotheses_ok:
         return report
     gb, gamma = report.gb, report.gamma
-    report.z_table = {u: _nf_bracket(gb, u) for u in gamma}
     report.commutators = _commutator_coordinates(gb, gamma)
 
     # Condition (1): coproduct membership per generator, in the order of gamma.
-    reduced, details1 = _reduced_coproducts(comul, gb, report.z_table), []
-    for u in report.z_table:
+    reduced, details1 = _reduced_coproducts(comul, gb, gamma), []
+    for u in gamma:
         for (w, w2), _c in tensor_bracket_coordinates(reduced[u], gb).items():
             if not w or not w2:
                 details1.append(
@@ -175,17 +179,18 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     return report
 
 
-def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, z_table: dict) -> dict:
-    """``{u: Delta'_u}`` over the irreducible Lyndon words, ``Delta' = Delta - P``:
+def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, words) -> dict:
+    """``{u: Delta'_u}`` over the irreducible Lyndon ``words``, ``Delta' = Delta - P``:
     a letter takes ``comul.reduced_image``, and ``u = lr`` (Shirshov) takes
-    ``[P(z_l) + Delta'_l, Delta'_r] + [Delta'_l, P(z_r)]``, with a term whose
-    ``Delta'`` half is 0 skipped; ``l`` and ``r`` are irreducible Lyndon words
-    of lower degree, keys of ``z_table`` that glex order meets first.  As
-    ``[P(a), P(b)] = P([a, b])`` and ``z_w - [w]`` lies in the stable ideal
-    ``I``, ``Delta'_u`` and ``Delta(z_u) - P(z_u)`` differ in
-    ``I (x) A + A (x) I``: their leg-wise coordinates agree."""
+    ``[P(z_l) + Delta'_l, Delta'_r] + [Delta'_l, P(z_r)]``, ``z_w = NF([w])``,
+    with a term whose ``Delta'`` half is 0 skipped and its ``z`` not formed;
+    ``l`` and ``r`` are irreducible Lyndon words of lower degree, in ``words``,
+    that glex order meets first.  As ``[P(a), P(b)] = P([a, b])`` and
+    ``z_w - [w]`` lies in the stable ideal ``I``, ``Delta'_u`` and
+    ``Delta(z_u) - P(z_u)`` differ in ``I (x) A + A (x) I``: their leg-wise
+    coordinates agree."""
     table = {}
-    for u in sorted(z_table, key=gb.alphabet.glex_key):
+    for u in sorted(words, key=gb.alphabet.glex_key):
         if len(u) == 1:
             table[u] = comul.reduced_image(u[0])
             continue
@@ -193,9 +198,9 @@ def _reduced_coproducts(comul: Comultiplication, gb: TruncatedGB, z_table: dict)
         dl, dr = table[left], table[right]
         delta = TensorElement.zero(gb.alphabet, gb.field)
         if dr:
-            delta = commutator(primitive_part(z_table[left]) + dl, dr)
+            delta = commutator(primitive_part(_nf_bracket(gb, left)) + dl, dr)
         if dl:
-            delta = delta + commutator(dl, primitive_part(z_table[right]))
+            delta = delta + commutator(dl, primitive_part(_nf_bracket(gb, right)))
         table[u] = delta
     return table
 

@@ -115,8 +115,9 @@ def test_bracket_walk_equals_the_expanded_coproduct(spec):
     for path in FIXTURES + BENCH_PRESENTATIONS:
         alphabet, field, _rels, images, _digest, bound = parse_presentation(path, override)
         comul, free = Comultiplication(alphabet, field, images), free_gb(alphabet, field, min(7, bound))
-        z_table = {w: _nf_bracket(free, w) for w in irreducible_lyndon_words(free, free.bound)}
-        table = structure._reduced_coproducts(comul, free, z_table)
+        words = irreducible_lyndon_words(free, free.bound)
+        z_table = {w: _nf_bracket(free, w) for w in words}
+        table = structure._reduced_coproducts(comul, free, words)
         for w in enumerate_lyndon(alphabet, min(7, bound)):
             bw = standard_bracket(alphabet, w, field)
             assert z_table[w] == bw, (path.stem, w)
@@ -167,26 +168,65 @@ def test_condition1_on_primitive_letters_forms_no_tensor_product(monkeypatch):
     assert products == []
 
 
+def _fixture(name, bound, relations=True):
+    alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / name)
+    return Presentation(alphabet, field, rels if relations else [], images, bound)
+
+
 def test_condition1_forms_no_bracket_outside_the_z_table(monkeypatch):
-    # Condition (1) reads z_u = NF([u]) from the z table and condition (2)
-    # reads its commutators off Lyndon structure constants, so verify forms
-    # the polynomial products and commutators of the z table and no more: on
-    # a warm z table the commutator table forms none.
-    alphabet, field, rels, images, _digest, _bound = parse_presentation(ROOT / "fixtures" / "free2.json")
-    pres = Presentation(alphabet, field, rels, images, 8)
+    # Condition (1) forms z_u = NF([u]) only beside a nonzero Delta', and
+    # condition (2) reads its commutators off Lyndon structure constants.  On
+    # free2 every Delta' is 0, so verify forms no polynomial product at all;
+    # a warm z table leaves the commutator table none to form either.
+    pres = _fixture("free2.json", 8)
     gb = pres.groebner()   # a fresh basis, so no bracket is cached yet
-    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=alphabet.lex_key)
+    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=pres.alphabet.lex_key)
     products = _count_products(monkeypatch, Polynomial)
     verify_structure_theorem(pres)
-    in_verify = len(products)
-    products.clear()
+    assert products == []
     for u in gamma:
         _nf_bracket(gb, u)
-    in_z_table = len(products)
+    assert products
     products.clear()
     structure._commutator_coordinates(gb, gamma)
     assert products == []
-    assert in_verify == in_z_table > 0
+
+
+def test_condition1_forms_z_only_beside_a_nonzero_reduced_coproduct(monkeypatch):
+    # y is not primitive (Delta'(y) = x # x), and over the free algebra on x, y
+    # gamma has words of length 2 and more, so the condition (1) walk of verify
+    # forms some entries of the z table, with fewer products than the whole
+    # table takes.
+    pres = _fixture("nonprimitive_pair.json", 6, relations=False)
+    gb = pres.groebner()
+    gamma = sorted(irreducible_lyndon_words(gb, gb.bound), key=pres.alphabet.lex_key)
+    products, walk, in_walk = _count_products(monkeypatch, Polynomial), structure._reduced_coproducts, []
+
+    def counted_walk(*args):
+        start = len(products)
+        table = walk(*args)
+        in_walk.append(len(products) - start)
+        return table
+
+    monkeypatch.setattr(structure, "_reduced_coproducts", counted_walk)
+    assert verify_structure_theorem(pres).condition1.ok
+    products.clear()
+    for u in gamma:
+        _nf_bracket(gb, u)
+    assert len(in_walk) == 1 and 0 < in_walk[0] < len(products)
+
+
+def test_z_table_is_formed_on_first_read():
+    report = verify_structure_theorem(_fixture("free2.json", 8))
+    assert report.gb._nf_bracket_cache == {}
+    fresh = _fixture("free2.json", 8).groebner()
+    eager = {u: _nf_bracket(fresh, u) for u in report.gamma}
+    assert list(report.z_table.items()) == list(eager.items())
+    assert report.z_table is report.z_table
+    pres = _fixture("heisenberg.json", 6)
+    report, fresh = verify_structure_theorem(pres), pres.groebner()
+    generators = extract_ihoe(pres, report).generators
+    assert [(u, z) for u, _degree, z in generators] == [(u, _nf_bracket(fresh, u)) for u in report.gamma]
 
 
 @pytest.mark.parametrize("degrees", [(1, 1), (1, 1, 2)], ids=["two-letters", "three-mixed"])

@@ -408,10 +408,11 @@ def test_bracket_walk_equals_the_expanded_coproduct(field):
     # algebra, where z_w = [w], the table of condition (1) gives
     # Delta'_w = Delta([w]) - P([w]) exactly.
     free = free_gb(ABC, field, 6)
-    free_z = {w: _nf_bracket(free, w) for w in irreducible_lyndon_words(free, free.bound)}
+    free_words = irreducible_lyndon_words(free, free.bound)
+    free_z = {w: _nf_bracket(free, w) for w in free_words}
     checked = nonzero = coordinates = 0
     for label, seed, gb, _images, comul in _seeded_cases(field):
-        table = _reduced_coproducts(comul, free, free_z)
+        table = _reduced_coproducts(comul, free, free_words)
         for w in enumerate_lyndon(ABC, 6):
             bw = standard_bracket(ABC, w, field)
             assert free_z[w] == bw and table[w] + primitive_part(bw) == comul.of_poly(bw), (label, seed, w)
@@ -419,8 +420,7 @@ def test_bracket_walk_equals_the_expanded_coproduct(field):
             nonzero += bool(table[w])
         # On the quotient, Delta'_u built from z_u = NF([u]) has the leg-wise
         # coordinates of Delta([u]) - 1 (x) z_u - z_u (x) 1, as NF([u] - z_u) = 0.
-        z_table = {u: _nf_bracket(gb, u) for u in irreducible_lyndon_words(gb, gb.bound)}
-        for u, reduced in _reduced_coproducts(comul, gb, z_table).items():
+        for u, reduced in _reduced_coproducts(comul, gb, irreducible_lyndon_words(gb, gb.bound)).items():
             bracket = free_z[u]
             rest = comul.of_poly(bracket) - primitive_part(gb.normal_form(bracket))
             coords = tensor_bracket_coordinates(reduced, gb)
