@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .poly import Polynomial, TensorElement, binomial, primitive_part, standard_bracket
-from .rewrite import OutOfCertifiedRange, TruncatedGB, bracket_coordinates, tensor_bracket_coordinates
+from .rewrite import TruncatedGB, bracket_coordinates, tensor_bracket_coordinates
 from .word import factors_below, is_lyndon, lyndon_decomposition
 from .expressions import render_polynomial, render_tensor, render_word
 
@@ -96,7 +96,7 @@ def free_gb(alphabet, field, bound: int) -> TruncatedGB:
 
 def check_triangular(comul: Comultiplication, graded: bool = True) -> CheckReport:
     """Decide (graded) triangularity of every generator image."""
-    alphabet, field = comul.alphabet, comul.field
+    alphabet = comul.alphabet
     details = []
     for x in range(alphabet.size):
         name = alphabet.names[x]
@@ -114,8 +114,7 @@ def check_triangular(comul: Comultiplication, graded: bool = True) -> CheckRepor
             # Two nonempty legs have degrees below deg x, hence only letters
             # below x (degree-major order), hence Lyndon factors below x:
             # only a scalar leg can fail.
-            coords = tensor_bracket_coordinates(part, free_gb(alphabet, field, dx))
-            for (w, w2), _c in coords.items():
+            for w, w2 in part.coeffs:
                 if not w or not w2:
                     details.append(
                         f"{name}: top-degree term with a scalar tensor leg "
@@ -151,8 +150,7 @@ def _irreducible_letters(gb: TruncatedGB, max_degree: int) -> list:
     ``m(id (x) S) Delta``.  The letters of an irreducible word are irreducible
     words, stable ideal or not.  Exact while each image term has degree <= its
     letter's, so that the legs stay where NF is multiplicative."""
-    if max_degree > gb.bound:
-        raise OutOfCertifiedRange(f"degree {max_degree} exceeds bound {gb.bound}")
+    gb.certify(max_degree)
     return [x for x, d in enumerate(gb.alphabet.degrees)
             if d <= max_degree and not gb.is_reducible_word((x,))]
 
@@ -243,9 +241,7 @@ class Antipode:
         return out
 
     def of(self, f: Polynomial) -> Polynomial:
-        if f.degree() > self.gb.bound:
-            raise OutOfCertifiedRange(
-                f"degree {f.degree()} exceeds the certified bound {self.gb.bound}")
+        self.gb.certify(f.degree())
         return self.gb._reduce(f.extend_linearly(self._of_word, Polynomial))
 
     def convolution_check(self, max_degree: int) -> CheckReport:

@@ -81,6 +81,11 @@ class TruncatedGB:
         self._exact_to = min(self._exact_to, degree)
         self._nf_bracket_cache.clear()
 
+    def certify(self, degree: int):
+        """Refuse a question of ``degree`` above the bound: nothing there is certified."""
+        if degree > self.bound:
+            raise OutOfCertifiedRange(f"degree {degree} exceeds the certified bound {self.bound}")
+
     def _tables(self, degree=inf):
         """The automaton of the leading words (``_leading_word_automaton``),
         exact on words of degree at most ``degree``: rebuilt only when a
@@ -96,16 +101,17 @@ class TruncatedGB:
         """True iff some basis leading word occurs as a factor of ``w``."""
         return w in self._lw_index or self._factor_rewrite(w) is not None
 
-    def _find_rewrite(self, w, tables=None):
-        """The glex-smallest leading word that occurs in ``w``, the integral
-        form (``_integral``) of its element and its first position; or None.
+    def _factor_rewrite(self, w):
+        """The glex-smallest leading word that is a proper factor of ``w``
+        (of lower degree, so glex smaller than ``w``), the integral form
+        (``_integral``) of its element and its first position; or None.
 
-        One pass of the automaton: each state names the smallest leading
-        word ending there, and a match replaces the one kept only when it is
-        strictly smaller, so of equal matches the first position stays.
-        On ``_tables(d)``, ``w`` itself may match though gone (form None).
+        One pass of ``_tables(deg w)``, exact on a proper factor: each state
+        names the smallest leading word ending there, and a match replaces
+        the one kept only when it is strictly smaller, so of equal matches
+        the first position stays.  ``w`` itself is skipped, live or gone.
         """
-        goto, _, rank, words = tables or self._tables()
+        goto, _, rank, words = self._tables(self.alphabet.degree(w))
         best = len(words)
         state = end = 0
         for j, c in enumerate(w):
@@ -113,10 +119,10 @@ class TruncatedGB:
             r = rank[state]
             if r < best:
                 best, end = r, j
-        if best == len(words):
+        if best == len(words) or len(words[best]) == len(w):
             return None
         lw = words[best]
-        return lw, self._lw_index.get(lw), end + 1 - len(lw)
+        return lw, self._lw_index[lw], end + 1 - len(lw)
 
     # -- reduction -------------------------------------------------------------
 
@@ -127,12 +133,6 @@ class TruncatedGB:
             return f
         kept, _ = _eliminate(self.alphabet, self.field, f.coeffs, self._rewrite)
         return Polynomial(self.alphabet, self.field, kept, _normalized=True)
-
-    def _factor_rewrite(self, w):
-        """``_find_rewrite`` of ``w`` by a proper factor (of lower degree, so
-        glex smaller than ``w``), else None, also when ``w`` itself matches."""
-        found = self._find_rewrite(w, self._tables(self.alphabet.degree(w)))
-        return None if found is None or len(found[0]) == len(w) else found
 
     def _rewrite(self, w):
         """``(L, terms of L g)`` for the glex-smallest leading word of ``g``
@@ -152,23 +152,18 @@ class TruncatedGB:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The unique representative of ``f + I`` on irreducible words."""
-        if f.degree() > self.bound:
-            raise OutOfCertifiedRange(
-                f"degree {f.degree()} exceeds the certified bound {self.bound}")
+        self.certify(f.degree())
         return self._reduce(f)
 
     def normal_form_tensor(self, t: TensorElement) -> TensorElement:
-        if t.degree() > self.bound:
-            raise OutOfCertifiedRange(
-                f"degree {t.degree()} exceeds the certified bound {self.bound}")
+        self.certify(t.degree())
         return t.map_legs(self._reduce, self._reduce)
 
     # -- irreducible-word combinatorics -----------------------------------------
 
     def irreducible_words(self, n: int) -> list:
         """All irreducible words of degree exactly ``n``, lex ascending."""
-        if n > self.bound:
-            raise OutOfCertifiedRange(f"degree {n} exceeds bound {self.bound}")
+        self.certify(n)
         return words_of_degree(self.alphabet, n, self._tables()[:2])
 
     def dimensions(self) -> list[int]:
@@ -197,8 +192,7 @@ class TruncatedGB:
         if not is_lyndon(u):
             raise ValueError("height is defined for Lyndon words only")
         d = self.alphabet.degree(u)
-        if d > self.bound:
-            raise OutOfCertifiedRange(f"degree {d} exceeds bound {self.bound}")
+        self.certify(d)
         n = 1
         while n * d <= self.bound:
             if self.is_reducible_word(u * n):
@@ -392,8 +386,7 @@ def irreducible_lyndon_words(gb: TruncatedGB, max_degree: int) -> list:
     Lyndon word, so one search visits only such prefixes: it drops a prefix
     that ends in a leading word or fails the Duval scan.
     """
-    if max_degree > gb.bound:
-        raise OutOfCertifiedRange(f"degree {max_degree} exceeds bound {gb.bound}")
+    gb.certify(max_degree)
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     words = lyndon_words(gb.alphabet, max_degree, gb._tables()[:2])

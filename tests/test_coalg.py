@@ -161,6 +161,14 @@ def test_triangular_same_degree_violation():
     assert any("scalar tensor leg" in d for d in report.details)
 
 
+def test_triangular_names_the_scalar_leg_term_it_refuses():
+    # y x = [y x] + [x][y]: the detail names the term, not a bracket coordinate.
+    three = Alphabet([("x", 1), ("y", 1), ("z", 2)])
+    comul = Comultiplication(three, QQ, {"z": parse_tensor("1#z + z#1 + 1#y*x", three, QQ)})
+    assert check_triangular(comul, graded=True).details == [
+        "z: top-degree term with a scalar tensor leg (1 # y x)"]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_triangular_accepts_any_top_degree_term_with_nonempty_legs(field):
     # Nonempty legs of a top-degree term have degrees below deg x, so they
@@ -342,6 +350,25 @@ def test_antipode_law_on_generators_matches_every_word():
             assert antipode.convolution_check(gb.bound).ok == per_word, (field, label, seed)
             verdicts.append(per_word)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 3, verdicts
+
+
+@pytest.mark.parametrize("query", [
+    lambda comul, gb, f: gb.normal_form(f),
+    lambda comul, gb, f: gb.normal_form_tensor(TensorElement.of(f, Polynomial.one(f.alphabet, QQ))),
+    lambda comul, gb, f: gb.irreducible_words(4),
+    lambda comul, gb, f: gb.height((1, 0, 0, 0)),
+    lambda comul, gb, f: irreducible_lyndon_words(gb, 4),
+    lambda comul, gb, f: check_coassoc_counit(comul, gb, 4),
+    lambda comul, gb, f: Antipode(comul, gb).of(f),
+], ids=["normal_form", "normal_form_tensor", "irreducible_words", "height",
+        "irreducible_lyndon_words", "check_coassoc_counit", "antipode"])
+def test_every_query_above_the_bound_is_refused_alike(query):
+    # x^4 and y x x x are of degree 4, above the bound 3
+    two = Alphabet([("x", 1), ("y", 1)])
+    gb = compute_truncated_gb(two, QQ, [parse_polynomial("y*x - x*y", two, QQ)], 3)
+    comul, f = Comultiplication.standard(two, QQ), parse_polynomial("x^4", two, QQ)
+    with pytest.raises(OutOfCertifiedRange, match=r"^degree 4 exceeds the certified bound 3$"):
+        query(comul, gb, f)
 
 
 def test_law_checks_refuse_above_the_bound():

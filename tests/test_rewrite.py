@@ -1019,7 +1019,7 @@ def test_completion_builds_the_automaton_once_per_degree(monkeypatch, field):
     # Degree n's inputs hold words of degree n; its overlap interiors, asked
     # before them, are of degree n - 2 (Sklyanin letters are of degree 1).
     builds, finds, products, completing, calls = [], [], [], [0], [0]
-    build, find, multiply = rewrite._leading_word_automaton, TruncatedGB._find_rewrite, \
+    build, find, multiply = rewrite._leading_word_automaton, TruncatedGB._factor_rewrite, \
         Polynomial.__mul__
     reduce, reducible = TruncatedGB._reduce, TruncatedGB.is_reducible_word
 
@@ -1027,9 +1027,9 @@ def test_completion_builds_the_automaton_once_per_degree(monkeypatch, field):
         builds.append(completing[0])
         return build(*args)
 
-    def counted_find(gb, w, tables=None):
+    def counted_find(gb, w):
         finds.append((calls[0], w))
-        return find(gb, w, tables)
+        return find(gb, w)
 
     def counted_product(f, g):
         products.append(f)
@@ -1046,7 +1046,7 @@ def test_completion_builds_the_automaton_once_per_degree(monkeypatch, field):
         return reducible(gb, w)
 
     monkeypatch.setattr(rewrite, "_leading_word_automaton", counted_build)
-    monkeypatch.setattr(TruncatedGB, "_find_rewrite", counted_find)
+    monkeypatch.setattr(TruncatedGB, "_factor_rewrite", counted_find)
     monkeypatch.setattr(Polynomial, "__mul__", counted_product)
     monkeypatch.setattr(TruncatedGB, "_reduce", reduce_input)
     monkeypatch.setattr(TruncatedGB, "is_reducible_word", interior)
@@ -1155,8 +1155,9 @@ def test_automaton_matches_brute_force_on_arbitrary_leading_words(field, data):
     for _ in range(4):
         w = sum(data.draw(st.lists(pieces, max_size=5)), ())
         expected = brute_first_rewrite(degrees, leading, w)
-        found = gb._find_rewrite(w)
-        assert (found if found is None else (found[0], found[2])) == expected
+        found = gb._factor_rewrite(w)   # a proper factor, else w itself off the index
+        whole = (w, 0) if w in gb._lw_index else None
+        assert (whole if found is None else (found[0], found[2])) == expected
         assert gb.is_reducible_word(w) == (expected is not None)
         f = Polynomial(alphabet, field, {w: field.one, **{
             u: field.of_int(c) for u, c in data.draw(st.dictionaries(
@@ -1219,7 +1220,7 @@ def test_automaton_is_built_once_per_changed_basis(monkeypatch):
     f = parse_polynomial("x2^3*x1 + x2*x1*x2", AB2, QQ)
     queries = [
         lambda: gb.is_reducible_word(AB2.word("x2", "x1")),
-        lambda: gb._find_rewrite(AB2.word("x2", "x2")),
+        lambda: gb._factor_rewrite(AB2.word("x2", "x2")),
         lambda: gb._reduce(f),
         gb.dimensions,
         lambda: gb.irreducible_words(4),
