@@ -54,7 +54,7 @@ def _parse_field(spec):
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         p = spec["Fp"]
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise InputError("field Fp modulus must be an integer")
     elif isinstance(spec, str) and spec.startswith("Fp:"):
         try:
@@ -96,7 +96,7 @@ def _parse_presentation(path, field_override, bound, require_bound):
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # not UTF-8, nested too deep, too many digits
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -178,7 +178,7 @@ def _presentation_from_args(args):
     bound = args.bound if args.bound is not None else file_bound
     try:
         pres = Presentation(alphabet, field, relations, images, bound)
-    except RelationError as exc:
+    except (RelationError, WholeAlgebraIdeal) as exc:
         raise InputError(f"{args.file}: {exc}") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -28,6 +28,9 @@ class ExpressionError(ValueError):
 
 _SYMBOLS = set("+-*/^#()")
 _DIGITS = set("0123456789")   # str.isdigit also holds for '²' and '٣'
+# Each level of parentheses takes three frames of the recursive descent, so
+# this cap keeps a nested expression well inside Python's recursion limit.
+_MAX_NESTING = 100
 
 
 def tokenize(src: str):
@@ -58,7 +61,12 @@ def tokenize(src: str):
             j = i
             while j < len(src) and src[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(src[i:j]), line, start_col))
+            try:
+                value = int(src[i:j])
+            except ValueError:   # above the interpreter's limit on digits in int()
+                raise ExpressionError(f"integer literal of {j - i} digits is too long",
+                                      line, start_col) from None
+            tokens.append(("int", value, line, start_col))
             col += j - i
             i = j
         elif ch in _SYMBOLS:
@@ -75,6 +83,7 @@ class _Parser:
     def __init__(self, src, alphabet, field, tensor_mode, bound=None):
         self.tokens = tokenize(src)
         self.pos = 0
+        self.depth = 0   # open parentheses around the current factor
         self.alphabet = alphabet
         self.field = field
         self.tensor_mode = tensor_mode
@@ -143,8 +152,12 @@ class _Parser:
                 power = self.next()[1]
             return Polynomial.from_word(self.alphabet, self.field, (letter,) * power)
         if kind == "symbol" and value == "(":
+            if self.depth == _MAX_NESTING:
+                self.error(f"parentheses nested more than {_MAX_NESTING} deep")
             self.next()
+            self.depth += 1
             inner = self.parse_sum(self.parse_term)
+            self.depth -= 1
             self.expect_symbol(")")
             return inner
         self.error("expected a generator, a rational or '('")

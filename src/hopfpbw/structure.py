@@ -74,8 +74,7 @@ class StructureReport:
     bound: int
     triangular: CheckReport
     stability: CheckReport
-    gamma: list = dataclass_field(default_factory=list)        # lex-sorted words
-    commutators: dict = dataclass_field(default_factory=dict)  # (u, v) -> coordinates of [z_u, z_v]
+    gamma: list = dataclass_field(default_factory=list)   # lex-sorted words
     dims: list = dataclass_field(default_factory=list)
     condition1: CheckReport | None = None
     condition2: CheckReport | None = None
@@ -88,6 +87,11 @@ class StructureReport:
     def z_table(self) -> dict:
         """``{u: NF([u])}`` over ``gamma``, formed on first read."""
         return {u: _nf_bracket(self.gb, u) for u in self.gamma}
+
+    @cached_property
+    def commutators(self) -> dict:
+        """``{(u, v): coordinates of [z_u, z_v]}`` over ``gamma``, formed on first read."""
+        return _commutator_coordinates(self.gb, self.gamma)
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -141,7 +145,6 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     if not report.hypotheses_ok:
         return report
     gb, gamma = report.gb, report.gamma
-    report.commutators = _commutator_coordinates(gb, gamma)
 
     # Condition (1): coproduct membership per generator, in the order of gamma.
     reduced, details1 = _reduced_coproducts(comul, gb, gamma), []
@@ -351,39 +354,33 @@ class OreTower:
 
 
 def extract_ihoe(presentation: Presentation, report: StructureReport | None = None) -> OreTower:
-    """Extract the iterated Ore-extension tower from a passing verification."""
+    """Extract the iterated Ore-extension tower from a passing verification.
+
+    Membership restates condition (1) and closure condition (2): each
+    coordinate word of the commutator table is irreducible of degree at most
+    the bound, so its Lyndon factors lie in ``gamma``, and for those, below
+    ``gamma[i]`` (what condition (2) checks) is in ``gamma[:i]``."""
     if report is None:
         report = verify_structure_theorem(presentation)
     if not report.passed:
         raise ValueError("refused: structure verification did not pass")
     if report.gk_candidate is None:
         raise ValueError(f"refused: {report.finiteness}; not candidate-finite")
-    alphabet = presentation.alphabet
     gamma = report.gamma
     d = len(gamma)
     if len(report.commutators) < d * (d - 1) // 2:
         raise OutOfCertifiedRange(
             "tower extraction refused: a derivation value exceeds the bound; "
             f"increase the bound beyond {report.bound}")
-    generators = [(u, alphabet.degree(u), report.z_table[u]) for u in gamma]
-    derivations = {}
-    closure_details = []
-    for i in range(1, d):
-        allowed = set(gamma[:i])
-        for j in range(i):
-            terms = []
-            for w, c in report.commutators[(gamma[i], gamma[j])].items():
-                factors = lyndon_decomposition(w)
-                if not allowed.issuperset(factors):
-                    closure_details.append(
-                        f"delta_{i + 1}(z{j + 1}) leaves the subalgebra: "
-                        f"coordinate {render_word(alphabet, w)}")
-                    continue
-                terms.append((tuple(map(factors.count, gamma)), c))
-            derivations[(i + 1, j + 1)] = terms
+    generators = [(u, presentation.alphabet.degree(u), report.z_table[u]) for u in gamma]
+    derivations = {
+        (i + 1, j + 1): [(tuple(map(lyndon_decomposition(w).count, gamma)), c)
+                         for w, c in report.commutators[(gamma[i], gamma[j])].items()]
+        for i in range(1, d) for j in range(i)}
     membership = CheckReport("tower coproduct membership", report.condition1.ok,
                              list(report.condition1.details))
-    closure = CheckReport("derivations close below their level", not closure_details, closure_details)
+    closure = CheckReport("derivations close below their level", report.condition2.ok,
+                          list(report.condition2.details))
     return OreTower(generators=generators, derivations=derivations,
                     membership=membership, closure=closure)
 
@@ -450,13 +447,14 @@ def recover_lie_generators(presentation: Presentation):
 
 
 def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
-    """The three quasi-primitivity certificates for the ideal."""
+    """The three quasi-primitivity certificates for the ideal, read off ``_pbw_data``."""
     alphabet = presentation.alphabet
-    _comul, tri, gb, stab = presentation.hypotheses()
-    if not (tri.ok and stab.ok):
-        failing = tri if not tri.ok else stab
+    report, _comul = _pbw_data(presentation)
+    if not report.hypotheses_ok:
+        failing = report.triangular if not report.triangular.ok else report.stability
         return [CheckReport("quasi-primitivity hypotheses", False,
                             [f"failing hypothesis: {failing.name}"] + failing.details)]
+    gb = report.gb
 
     details1 = []
     for v, coords in _reducible_lyndon_coordinates(gb):
@@ -466,16 +464,15 @@ def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
                     f"[{render_word(alphabet, v)}]: coordinate {render_word(alphabet, w)} not below it")
     part1 = CheckReport("quasi-primitivity (1): reducible brackets", not details1, details1)
 
-    irreducible = irreducible_lyndon_words(gb, gb.bound)
     details2 = []
-    for (u, v), coords in _commutator_coordinates(gb, irreducible).items():
+    for (u, v), coords in report.commutators.items():
         for w in coords:
             if not factors_below(w, u + v, strict=False):
                 details2.append(
                     f"[[{render_word(alphabet, u)}],[{render_word(alphabet, v)}]]: "
                     f"coordinate {render_word(alphabet, w)} above the product word")
     part2 = CheckReport("quasi-primitivity (2): irreducible commutators", not details2, details2)
-    part3 = _basis_counts(gb, irreducible, gb.dimensions(), "quasi-primitivity (3): basis counts")
+    part3 = _basis_counts(gb, report.gamma, report.dims, "quasi-primitivity (3): basis counts")
     return [part1, part2, part3]
 
 

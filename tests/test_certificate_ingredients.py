@@ -33,8 +33,8 @@ from hopfpbw.word import GREATER, compare_lex, shirshov_factorization
 import hopfpbw.poly as poly
 import hopfpbw.structure as structure
 
-from helpers import (brute_is_lyndon, graded_words, reference_bracket, reference_shirshov_split,
-                     stack_depth)
+from helpers import (brute_factorizations, brute_is_lyndon, graded_words, reference_bracket,
+                     reference_shirshov_split, stack_depth)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
@@ -93,7 +93,8 @@ def test_commutator_table_equals_free_algebra_brackets(certified):
                                          (ROOT / "perfbench" / "presentations" / "serre_a2.json", None)],
                          ids=["free2", "serre_a2"])
 def test_commutator_table_follows_the_order_of_its_words(path, bound):
-    # verify passes gamma lex sorted, verify_quasi_lie its words glex sorted.
+    # A report forms its table over gamma, lex sorted; the table follows
+    # whatever order it is given, the glex order of the search included.
     alphabet, field, rels, _images, _digest, file_bound = parse_presentation(path)
     gb = Presentation(alphabet, field, rels, None, bound or file_bound).groebner()
     glex = irreducible_lyndon_words(gb, gb.bound)
@@ -376,3 +377,26 @@ def test_tower_reads_the_table(certified, monkeypatch):
         tower = extract_ihoe(pres, report)
         d = len(report.gamma)
         assert tower.ok and len(tower.derivations) == d * (d - 1) // 2
+
+
+def test_commutator_factors_lie_below_their_level(certified):
+    # The check the tower made of its own before it read condition (2): wherever
+    # verify passes, every Lyndon factor of every coordinate of
+    # [z_{gamma[i]}, z_{gamma[j]}] lies in gamma[:i].
+    reports = {name: report for name, (_pres, report) in certified.items()}
+    for path in BENCH_PRESENTATIONS:
+        alphabet, field, rels, images, _digest, bound = parse_presentation(path)
+        reports[path.stem] = verify_structure_theorem(Presentation(alphabet, field, rels, images, bound))
+    passing = {name: report for name, report in reports.items() if report.passed}
+    assert {"serre_a2", "serre_b2", "heisenberg/Q", "divided_powers/file"} <= set(passing)
+    checked = 0
+    for name, report in passing.items():
+        gamma = report.gamma
+        for (u, v), coords in report.commutators.items():
+            below = set(gamma[:gamma.index(u)])
+            assert v in below, (name, u, v)
+            for w in coords:
+                [factors] = brute_factorizations(w)
+                assert below.issuperset(factors), (name, u, v, w)
+                checked += 1
+    assert checked > 50

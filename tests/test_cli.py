@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from itertools import groupby
@@ -81,6 +82,35 @@ def test_parse_errors_have_positions():
         parse_polynomial("x1#x2", AB, QQ)
     with pytest.raises(ExpressionError, match="'#'"):
         parse_tensor("x1 + x2", AB, QQ)
+
+
+# Python 3.10.7 and later refuse to convert an integer of more digits than
+# this (0: no limit).
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(_INT_DIGITS == 0, reason="int() has no digit limit")
+_LONG_LITERAL = "9" * (_INT_DIGITS + 1)
+_TOO_LONG = f"integer literal of {len(_LONG_LITERAL)} digits is too long"
+
+
+def test_parentheses_nested_too_deep_are_refused():
+    def nested(depth, inner="x1"):
+        return "(" * depth + inner + ")" * depth
+
+    assert parse_polynomial(nested(100), AB, QQ) == parse_polynomial("x1", AB, QQ)
+    assert parse_tensor(nested(100, "1") + "#x1", AB, QQ) == parse_tensor("1#x1", AB, QQ)
+    for depth in (101, 330, 5000):
+        with pytest.raises(ExpressionError,
+                           match="line 1, column 101: parentheses nested more than 100 deep"):
+            parse_polynomial(nested(depth), AB, QQ)
+        with pytest.raises(ExpressionError, match="column 106: parentheses nested"):
+            parse_tensor("x1#1+" + nested(depth, "1") + "#x1", AB, QQ)
+
+
+@_needs_digit_limit
+@pytest.mark.parametrize("src, column", [("{}*x1 - x2", 1), ("x1 + 2*x1^{}", 11)])
+def test_integer_literal_above_the_digit_limit_is_refused(src, column):
+    with pytest.raises(ExpressionError, match=f"line 1, column {column}: {_TOO_LONG}"):
+        parse_polynomial(src.format(_LONG_LITERAL), AB, QQ)
 
 
 def test_prime_field_parsing():
@@ -180,6 +210,30 @@ def test_presentation_file_errors(tmp_path):
 _X_FILE = {"field": "Q", "generators": [{"name": "x", "degree": 1}], "degree_bound": 3}
 
 
+@pytest.mark.parametrize("content", [
+    b'{"generators": [{"name": "\xff", "degree": 1}]}',
+    b"[" * 100000 + b"]" * 100000,
+    pytest.param(f'{{"degree_bound": {_LONG_LITERAL}}}'.encode(), marks=_needs_digit_limit),
+], ids=["not-utf8", "nested-too-deep", "too-many-digits"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    start = time.perf_counter()
+    code, report, text = run(["verify", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, report, text) == (2, None, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("modulus", [True, False])
+def test_boolean_modulus_is_not_an_integer(tmp_path, capsys, modulus):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({**_X_FILE, "field": {"Fp": modulus}}))
+    assert run(["verify", str(path)]) == (2, None, "")
+    assert capsys.readouterr().err == "error: field Fp modulus must be an integer\n"
+
+
 @pytest.mark.parametrize("change, message", [
     ({"generators": [{"name": 5, "degree": 1}]}, "generator 1: name must be a nonempty string"),
     ({"generators": [{"name": "", "degree": 1}]}, "generator 1: name must be a nonempty string"),
@@ -189,8 +243,14 @@ _X_FILE = {"field": "Q", "generators": [{"name": "x", "degree": 1}], "degree_bou
     ({"comultiplication": []}, "'comultiplication' must be an object"),
     ({"relations": ["x*x - \u00b2*x*x"]}, "unexpected character '\u00b2'"),
     ({"relations": ["x^\u0663"]}, "unexpected character '\u0663'"),
+    ({"relations": ["(" * 330 + "x" + ")" * 330]}, "parentheses nested more than 100 deep"),
+    ({"comultiplication": {"x": "(" * 330 + "1" + ")" * 330 + "#x + x#1"}},
+     "parentheses nested more than 100 deep"),
+    pytest.param({"relations": [_LONG_LITERAL + "*x"]}, _TOO_LONG, marks=_needs_digit_limit),
+    pytest.param({"relations": ["x^" + _LONG_LITERAL]}, _TOO_LONG, marks=_needs_digit_limit),
 ], ids=["name-int", "name-empty", "relation-int", "relations-object", "image-int", "images-list",
-        "superscript-digit", "arabic-indic-digit"])
+        "superscript-digit", "arabic-indic-digit", "nested-relation", "nested-image",
+        "long-coefficient", "long-exponent"])
 def test_malformed_presentation_values_are_input_errors(tmp_path, capsys, change, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps({**_X_FILE, **change}))
@@ -375,6 +435,29 @@ def test_hilbert_checks_no_pbw_condition(name, field, monkeypatch):
     for target in ("_commutator_coordinates", "tensor_bracket_coordinates", "_nf_bracket"):
         monkeypatch.setattr(structure, target, refuse)
     assert run(argv) == expected
+
+
+@pytest.mark.parametrize("command, tables", [("verify", 1), ("ihoe", 1), ("quasi-lie", 1),
+                                             ("hilbert", 0)])
+def test_commutator_table_is_formed_at_most_once_per_run(command, tables, monkeypatch):
+    calls = []
+    table = structure._commutator_coordinates
+
+    def counted(gb, words):
+        calls.append(list(words))
+        return table(gb, words)
+
+    monkeypatch.setattr(structure, "_commutator_coordinates", counted)
+    counts = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        alphabet = parse_presentation(path)[0]
+        calls.clear()
+        run([command, str(path), "--bound", "5"])
+        counts[path.name] = len(calls)
+        # every run forms it over the report's gamma, lex sorted
+        assert all(words == sorted(words, key=alphabet.lex_key) for words in calls)
+    assert set(counts.values()) <= {0, tables}, counts
+    assert counts["heisenberg.json"] == tables
 
 
 @pytest.mark.parametrize("command", [
@@ -779,7 +862,8 @@ def test_image_power_above_bound_is_refused_before_it_is_built(tmp_path, capsys)
 
 def test_relation_errors_name_the_file(tmp_path, capsys):
     for relation, message in (("x*x - x*x", "relation 1 is zero"),
-                              ("x*x - x", "relation 1 is inhomogeneous: degrees 1 and 2")):
+                              ("x*x - x", "relation 1 is inhomogeneous: degrees 1 and 2"),
+                              ("2", "relation 1 is a nonzero constant: ideal is the whole algebra")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"field": "Q", "generators": [{"name": "x", "degree": 1}],
                                     "relations": [relation], "degree_bound": 3}))
