@@ -33,7 +33,7 @@ from .poly import Polynomial, bracket_term_bound, standard_bracket
 from .rewrite import OutOfCertifiedRange, RelationError, WholeAlgebraIdeal, admissible_words
 from .structure import (
     Presentation,
-    _pbw_data,
+    StructureReport,
     compute_heights,
     extract_ihoe,
     hilbert_and_gk,
@@ -295,7 +295,7 @@ def _cmd_basis(args, pres, report):
 
 
 def _cmd_hilbert(args, pres, report):
-    result, _comul = _pbw_data(pres)
+    result = StructureReport(pres)
     if not result.hypotheses_ok:
         _add_verdict(report, *result.verdicts())
         return
@@ -308,11 +308,11 @@ def _cmd_hilbert(args, pres, report):
 
 
 def _cmd_hopf_check(args, pres, report):
-    comul, tri, gb, stab = pres.hypotheses()
-    law = check_coassoc_counit(comul, gb, pres.bound)
-    _add_verdict(report, tri, stab, law)
-    if tri.ok and stab.ok and law.ok:
-        antipode = Antipode(comul, gb, precheck=False)
+    result = StructureReport(pres)
+    law = check_coassoc_counit(result.comul, result.gb, pres.bound)
+    _add_verdict(report, result.triangular, result.stability, law)
+    if result.hypotheses_ok and law.ok:
+        antipode = Antipode(result.comul, result.gb, precheck=False)
         convolution = antipode.convolution_check(pres.bound)
         report["antipodes"] = []
         # The laws are checked up to the bound only, so S is stated only there.
@@ -325,7 +325,8 @@ def _cmd_hopf_check(args, pres, report):
                 antipode.of(Polynomial.generator(pres.alphabet, pres.field, name)))})
         _add_verdict(report, convolution)
     else:
-        reason = ("coassociativity, counit or stability failed" if not (stab.ok and law.ok)
+        reason = ("coassociativity, counit or stability failed"
+                  if not (result.stability.ok and law.ok)
                   else "the comultiplication is not triangular")
         _add_verdict(report, CheckReport("antipode law", False, [f"refused: {reason}"]))
 
@@ -506,7 +507,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv):
-    """Execute a command line; returns (exit_code, report_dict, text)."""
+    """Execute a command line; returns (exit_code, report_dict, text).  An unknown
+    command is refused before argparse, whose wording varies with the Python version."""
+    commands = [*_HANDLERS, "lyndon"]
+    if argv and not argv[0].startswith("-") and argv[0] not in commands:
+        print(f"error: unknown command {argv[0]!r} (expected one of: {', '.join(commands)})",
+              file=sys.stderr)
+        return 2, None, ""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

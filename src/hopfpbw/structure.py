@@ -12,7 +12,7 @@ claim is ever produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .coalg import CheckReport, Comultiplication, check_stability, check_triangular
@@ -55,33 +55,46 @@ class Presentation:
     def groebner(self) -> TruncatedGB:
         return compute_truncated_gb(self.alphabet, self.field, self.relations, self.bound)
 
-    def hypotheses(self):
-        """``(comul, triangular, gb, stability)``: the comultiplication, its
-        graded triangularity, the Groebner basis and the stability of the
-        ideal, each computed once."""
-        comul = self.comultiplication()
-        tri = check_triangular(comul, graded=True)
-        gb = self.groebner()
-        return comul, tri, gb, check_stability(comul, gb)
-
 
 FINITE_AT_BOUND = "candidate finite at bound"
 NOT_FINITE_AT_BOUND = "not finite at bound"
 
 
-@dataclass
 class StructureReport:
-    bound: int
-    triangular: CheckReport
-    stability: CheckReport
-    gamma: list = dataclass_field(default_factory=list)   # lex-sorted words
-    dims: list = dataclass_field(default_factory=list)
-    condition1: CheckReport | None = None
-    condition2: CheckReport | None = None
-    condition3: CheckReport | None = None
-    finiteness: str = ""
-    gk_candidate: int | None = None
-    gb: TruncatedGB | None = None
+    """The analysis of one presentation: the hypotheses (the comultiplication,
+    its graded triangularity, the Groebner basis, stability) built at once, the
+    PBW data formed on first read, and conditions (1)-(3) set by ``verify``."""
+
+    def __init__(self, presentation: Presentation):
+        self.presentation = presentation
+        self.bound = presentation.bound
+        self.comul = presentation.comultiplication()
+        self.triangular = check_triangular(self.comul, graded=True)
+        self.gb = presentation.groebner()
+        self.stability = check_stability(self.comul, self.gb)
+        self.condition1 = self.condition2 = self.condition3 = None
+
+    @cached_property
+    def gamma(self) -> list:
+        """The irreducible Lyndon words up to the bound, lex-sorted."""
+        return sorted(irreducible_lyndon_words(self.gb, self.bound),
+                      key=self.presentation.alphabet.lex_key)
+
+    @cached_property
+    def dims(self) -> list:
+        return self.gb.dimensions()
+
+    @cached_property
+    def finiteness(self) -> str:
+        """Not finite when a word of ``gamma`` has degree above the bound less
+        the largest relation degree (1 without relations; each is >= 1)."""
+        low = self.bound - max((r.degree() for r in self.presentation.relations), default=1)
+        fresh = any(self.gb.alphabet.degree(u) > low for u in self.gamma)
+        return f"{NOT_FINITE_AT_BOUND if fresh else FINITE_AT_BOUND} {self.bound}"
+
+    @property
+    def gk_candidate(self) -> int | None:
+        return len(self.gamma) if self.finiteness.startswith(FINITE_AT_BOUND) else None
 
     @cached_property
     def z_table(self) -> dict:
@@ -107,30 +120,6 @@ class StructureReport:
         return [self.triangular, self.stability, *(c for c in conditions if c is not None)]
 
 
-def _finiteness_flag(presentation: Presentation, gb: TruncatedGB, lyndon) -> str:
-    """Not finite when a word of ``lyndon`` has degree above the bound less
-    the largest relation degree (1 without relations; each is >= 1)."""
-    low = gb.bound - max((r.degree() for r in presentation.relations), default=1)
-    fresh = any(gb.alphabet.degree(u) > low for u in lyndon)
-    return f"{NOT_FINITE_AT_BOUND if fresh else FINITE_AT_BOUND} {gb.bound}"
-
-
-def _pbw_data(presentation: Presentation):
-    """``(report, comul)``: the hypotheses and, when they hold, the PBW
-    generators ``gamma``, the dimensions and the growth flag, with none of
-    conditions (1)-(3) checked."""
-    comul, tri, gb, stab = presentation.hypotheses()
-    report = StructureReport(bound=gb.bound, triangular=tri, stability=stab, gb=gb)
-    if report.hypotheses_ok:
-        report.gamma = sorted(irreducible_lyndon_words(gb, gb.bound),
-                              key=presentation.alphabet.lex_key)
-        report.dims = gb.dimensions()
-        report.finiteness = _finiteness_flag(presentation, gb, report.gamma)
-        if report.finiteness.startswith(FINITE_AT_BOUND):
-            report.gk_candidate = len(report.gamma)
-    return report, comul
-
-
 def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     """Certify the PBW-generator conditions up to the bound.
 
@@ -141,13 +130,13 @@ def verify_structure_theorem(presentation: Presentation) -> StructureReport:
     (over a prime field the exponent-bounded family is counted instead).
     """
     alphabet, field = presentation.alphabet, presentation.field
-    report, comul = _pbw_data(presentation)
+    report = StructureReport(presentation)
     if not report.hypotheses_ok:
         return report
     gb, gamma = report.gb, report.gamma
 
     # Condition (1): coproduct membership per generator, in the order of gamma.
-    reduced, details1 = _reduced_coproducts(comul, gb, gamma), []
+    reduced, details1 = _reduced_coproducts(report.comul, gb, gamma), []
     for u in gamma:
         for (w, w2), _c in tensor_bracket_coordinates(reduced[u], gb).items():
             if not w or not w2:
@@ -447,9 +436,10 @@ def recover_lie_generators(presentation: Presentation):
 
 
 def verify_quasi_lie(presentation: Presentation) -> list[CheckReport]:
-    """The three quasi-primitivity certificates for the ideal, read off ``_pbw_data``."""
+    """The three quasi-primitivity certificates for the ideal, read off its
+    ``StructureReport``."""
     alphabet = presentation.alphabet
-    report, _comul = _pbw_data(presentation)
+    report = StructureReport(presentation)
     if not report.hypotheses_ok:
         failing = report.triangular if not report.triangular.ok else report.stability
         return [CheckReport("quasi-primitivity hypotheses", False,
@@ -481,10 +471,10 @@ def compute_heights(presentation: Presentation):
     characteristic-consistency verdict (no finite heights in characteristic
     zero; powers of p otherwise), evaluated when the hypotheses hold."""
     alphabet, field = presentation.alphabet, presentation.field
-    _comul, tri, gb, stab = presentation.hypotheses()
-    data = collect_irreducible_data(gb)
+    report = StructureReport(presentation)
+    data = collect_irreducible_data(report.gb)
     details = []
-    if tri.ok and stab.ok:
+    if report.hypotheses_ok:
         for u, h in data.heights.items():
             if h is None:
                 continue

@@ -483,6 +483,37 @@ def test_one_lyndon_search_per_command(command, monkeypatch):
     assert set(counts.values()) <= ({0} if command[0] == "lie-gens" else {0, 1}), counts
     if command[0] in ("verify", "hilbert", "ihoe", "quasi-lie", "heights", "basis"):
         assert counts["heisenberg.json"] == 1
+    # gamma is formed on first read, and no command reads it past failing hypotheses
+    if command[0] not in ("heights", "basis"):
+        assert counts["bad_delta.json"] == counts["unstable_square.json"] == 0, counts
+
+
+@pytest.mark.parametrize("command, builds", [
+    (["verify"], (1, 1)), (["hilbert"], (1, 1)), (["ihoe"], (1, 1)), (["quasi-lie"], (1, 1)),
+    (["hopf-check"], (1, 1)), (["heights"], (1, 1)),
+    (["gb"], (1, 0)), (["basis", "--degree", "4"], (1, 0))])
+def test_one_basis_and_one_comultiplication_per_run(command, builds, monkeypatch):
+    # lie-gens still builds both twice; perfbench pins that count
+    bases, comuls = [], []
+    gb, comul = structure.compute_truncated_gb, structure.Comultiplication
+
+    def counted_gb(*args):
+        bases.append(args)
+        return gb(*args)
+
+    def counted_comul(*args, **kwargs):
+        comuls.append(args)
+        return comul(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "compute_truncated_gb", counted_gb)
+    monkeypatch.setattr(structure, "Comultiplication", counted_comul)
+    counts = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        bases.clear()
+        comuls.clear()
+        run([command[0], str(path), *command[1:], "--bound", "5"])
+        counts[path.name] = (len(bases), len(comuls))
+    assert set(counts.values()) == {builds}, counts
 
 
 @pytest.mark.parametrize("name", ["bad_delta.json", "unstable_square.json", "free2.json"])
@@ -627,7 +658,9 @@ def test_unknown_subcommand_usage_error(capsys):
     code, report, _text = run(["frobnicate"])
     assert code == 2
     assert report is None
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: unknown command 'frobnicate' (expected one of: verify, quasi-lie, gb, basis, "
+        "hilbert, hopf-check, ihoe, lie-gens, heights, lyndon)\n")
 
 
 def test_parser_built_once_serves_a_valid_command_after_a_usage_error(tmp_path, capsys):
@@ -640,7 +673,7 @@ def test_parser_built_once_serves_a_valid_command_after_a_usage_error(tmp_path, 
     _build_parser.cache_clear()
     alone = verify(tmp_path / "alone.json")
     _build_parser.cache_clear()
-    assert run(["frobnicate", fixture("heisenberg.json")]) == (2, None, "")
+    assert run(["verify", fixture("heisenberg.json"), "--frobnicate"]) == (2, None, "")
     capsys.readouterr()
     after = verify(tmp_path / "after.json")
     assert after == alone
