@@ -1,9 +1,10 @@
 """Command-line interface: presentation files, subcommands, reports.
 
 Presentation files are UTF-8 JSON with fields ``field`` ("Q" or {"Fp": p}),
-``generators`` (list of {name, degree} in declaration order), ``relations``
-(expression strings), optional ``comultiplication`` (name -> tensor
-expression; omitted generators are primitive) and ``degree_bound``.
+``generators`` (list of {name, degree} in declaration order; each name one
+identifier as expressions read it), ``relations`` (expression strings),
+optional ``comultiplication`` (name -> tensor expression; omitted generators
+are primitive) and ``degree_bound`` (at most 1000, as is ``--bound``).
 
 Every run emits a deterministic text report and, with ``--json PATH``, a
 machine report with fields {command, bound, presentation, field, verdicts,
@@ -27,6 +28,7 @@ from .expressions import (
     render_polynomial,
     render_tensor,
     render_word,
+    tokenize,
 )
 from .fields import PrimeField, QQ
 from .poly import Polynomial, bracket_term_bound, standard_bracket
@@ -47,6 +49,19 @@ from .word import Alphabet, is_lyndon, lyndon_decomposition
 
 class InputError(ValueError):
     """Input or usage problem: exit status 2."""
+
+
+# Higher bounds are refused: completion and the dimension count walk every
+# degree up to the bound, and a bound of 10^7 took 23 s and 1.4 GB.
+_MAX_BOUND = 1000
+
+
+def _is_name(text: str) -> bool:
+    """True iff an expression reads ``text`` as exactly one generator name."""
+    try:
+        return tokenize(text)[0][:2] == ("name", text)
+    except ExpressionError:
+        return False
 
 
 def _parse_field(spec):
@@ -111,6 +126,8 @@ def _parse_presentation(path, field_override, bound, require_bound):
             raise InputError(f"{path}: generator {i + 1} needs 'name' and 'degree'")
         if not isinstance(g["name"], str) or not g["name"]:
             raise InputError(f"{path}: generator {i + 1}: name must be a nonempty string")
+        if not _is_name(g["name"]):
+            raise InputError(f"{path}: generator {i + 1}: name {g['name']!r} is not an identifier")
         if not _is_positive_int(g["degree"]):
             raise InputError(f"{path}: generator {g.get('name')!r}: degree must be positive")
         pairs.append((g["name"], g["degree"]))
@@ -122,10 +139,14 @@ def _parse_presentation(path, field_override, bound, require_bound):
     file_bound = raw.get("degree_bound")
     if file_bound is not None and not _is_positive_int(file_bound):
         raise InputError(f"{path}: degree_bound must be a positive integer")
+    if file_bound is not None and file_bound > _MAX_BOUND:
+        raise InputError(f"{path}: degree_bound {file_bound} is above the limit {_MAX_BOUND}")
     if bound is None:
         bound = file_bound
     if bound is None and require_bound:
         raise InputError("a degree bound is required (file degree_bound or --bound)")
+    if bound is not None and bound > _MAX_BOUND:
+        raise InputError(f"bound {bound} is above the limit {_MAX_BOUND}")
 
     sources = raw.get("relations", [])
     if not isinstance(sources, list) or not all(isinstance(src, str) for src in sources):
@@ -394,14 +415,14 @@ def _parse_gens_spec(spec: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            name, _, deg = chunk.partition(":")
-            try:
-                pairs.append((name.strip(), int(deg)))
-            except ValueError:
-                raise InputError(f"malformed generator spec {chunk!r}") from None
-        else:
-            pairs.append((chunk, 1))
+        name, colon, deg = chunk.partition(":")
+        name = name.strip()
+        if not _is_name(name):
+            raise InputError(f"generator name {name!r} is not an identifier")
+        try:
+            pairs.append((name, int(deg) if colon else 1))
+        except ValueError:
+            raise InputError(f"malformed generator spec {chunk!r}") from None
     if not pairs:
         raise InputError("empty --gens specification")
     try:

@@ -254,18 +254,17 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
     ``c = F[w]`` and ``t = gcd(c, L)``, the step ``F <- (L/t) F - (c/t) L g``,
     ``s <- s L/t`` subtracts ``(c/s) g``, which cancels ``w`` and changes
     only smaller words.  Over F_p, ``L`` and ``s`` stay 1 and scalars are
-    taken mod ``p``.  Words wait in a list sorted by ``(degree, word)``,
-    the graded lex order (no word is a proper prefix of another of its
-    degree), and are popped from its end, so a word is final once popped.
+    taken mod ``p``.  Words wait in a list sorted by ``alphabet.glex_key``
+    and are popped from its end, so a word is final once popped.
     Returns ``(kept, pivots)``, both keyed glex-descending: each
     kept word's scalar ``F[w] / s``, and each pivot word's pair
     ``(F[w], s)``, whose quotient is its pivot's coefficient.
     """
-    p, div, degree = field.char, field.div, alphabet.degree
+    p, div, key = field.char, field.div, alphabet.glex_key
 
     s, start = _integral(coeffs)
     pending = dict(start)
-    order = sorted((degree(w), w) for w in pending)
+    order = sorted(map(key, pending))
     kept, pivots = {}, {}
     while order:
         w = order.pop()[1]
@@ -294,7 +293,7 @@ def _eliminate(alphabet, field, coeffs: dict, pivot):
                 del pending[v]
             else:
                 if old is None:
-                    bisect.insort(order, (degree(v), v))
+                    bisect.insort(order, key(v))
                 pending[v] = nv
     return kept, pivots
 

@@ -18,27 +18,6 @@ Word = tuple  # tuple of letter indices
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-class _GlexKeys(dict):
-    """Word -> its sort key for the graded lex order (ascending),
-    ``(degree, word)``, computed on the first lookup and kept.
-
-    No word is a proper prefix of another word of the same degree, so
-    within one degree plain tuple order is the lex order.  Read through its
-    bound ``__getitem__``, the key of a known word costs no Python frame.
-    It holds only the words looked up, i.e. sorted, and lives and dies with
-    its ``Alphabet`` (one per presentation), so it needs no cap.
-    """
-
-    __slots__ = ("_degree_of",)
-
-    def __init__(self, degree_of):
-        self._degree_of = degree_of
-
-    def __missing__(self, w):
-        key = self[w] = (sum(map(self._degree_of, w)), w)
-        return key
-
-
 class Alphabet:
     """A finite well-ordered alphabet of graded generators.
 
@@ -68,7 +47,6 @@ class Alphabet:
         self._degree_of = self.degrees.__getitem__
         # all letters of one degree: a word's degree is it times the length
         self._letter_degree = self.degrees[0] if len(set(self.degrees)) == 1 else 0
-        self.glex_key = _GlexKeys(self._degree_of).__getitem__
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.declaration == other.declaration
@@ -94,6 +72,14 @@ class Alphabet:
         if self._letter_degree:
             return self._letter_degree * len(w)
         return sum(map(self._degree_of, w))
+
+    def glex_key(self, w: Word):
+        """Sort key for the graded lex order (ascending): ``(degree, w)``.
+        No word is a proper prefix of another word of the same degree, so
+        within one degree plain tuple order is the lex order."""
+        if self._letter_degree:   # ``degree`` inline: one frame per key
+            return self._letter_degree * len(w), w
+        return sum(map(self._degree_of, w)), w
 
     def lex_key(self, w: Word):
         """Sort key realizing the reversed-prefix lex order (ascending)."""

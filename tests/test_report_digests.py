@@ -33,6 +33,10 @@ LYNDON_WORDS = ("x1", "x3", "x2 x1", "x1 x2", "x3 x1 x2", "x2 x1 x2 x1 x1",
                 "x3 x2 x1 x2 x1", "x2 x2 x1 x2 x1 x1", "x3 x1 x3 x1 x1 x2",
                 "x3 x3 x2 x1 x1 x3 x2 x1", "x2" + " x1" * 29)
 NO_BOUND = "<no-bound file>"
+HIGH_BOUND = "<degree_bound 10000000 file>"
+WRITTEN = {NO_BOUND: ("no_bound.json", {"generators": [{"name": "x", "degree": 1}]}),
+           HIGH_BOUND: ("high_bound.json", {"generators": [{"name": "x", "degree": 1}],
+                                            "degree_bound": 10000000})}
 REFUSALS = (["basis", "heisenberg.json", "--bound", "5"],
             ["basis", "heisenberg.json", "--bound", "5", "--degree", "99"],
             ["basis", "heisenberg.json", "--bound", "5", "--degree", "-1"],
@@ -44,7 +48,9 @@ REFUSALS = (["basis", "heisenberg.json", "--bound", "5"],
             ["ihoe", "heisenberg.json", "--bound", "5", "--field", "Fp:4"],
             ["hilbert", "free2.json", "--bound", "0"],
             ["hopf-check", "free2.json", "--field", "Fp:4", "--bound", "0"],
-            ["frobnicate", "heisenberg.json"])
+            ["frobnicate", "heisenberg.json"],
+            ["basis", HIGH_BOUND, "--degree", "2"],
+            ["basis", "heisenberg.json", "--bound", "10000000", "--degree", "2"])
 
 
 def _corpus():
@@ -73,12 +79,13 @@ def compute_digests(workdir) -> dict:
 
 
 def compute_refusal_digests(workdir) -> dict:
-    no_bound = Path(workdir) / "no_bound.json"
-    no_bound.write_text(json.dumps({"generators": [{"name": "x", "degree": 1}]}),
-                        encoding="utf-8")
+    written = {}
+    for key, (name, content) in WRITTEN.items():
+        written[key] = Path(workdir) / name
+        written[key].write_text(json.dumps(content), encoding="utf-8")
     digests = {}
     for argv in REFUSALS:
-        path = no_bound if argv[1] == NO_BOUND else ROOT / "fixtures" / argv[1]
+        path = written.get(argv[1], ROOT / "fixtures" / argv[1])
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code, _report, _text = run([argv[0], str(path), *argv[2:]])

@@ -1057,21 +1057,6 @@ def test_completion_builds_the_automaton_once_per_degree(monkeypatch, field):
     assert products == []
 
 
-def test_reduction_leaves_the_glex_key_table_alone():
-    # Elimination keys its pending words per call: the alphabet's table,
-    # which lives as long as the presentation, gains no intermediate word.
-    gb = compute_truncated_gb(SKLYANIN, QQ, sklyanin_relations(7, -3, -8, QQ), 9)
-    table = SKLYANIN.glex_key.__self__
-    rng = random.Random(9)
-    pool = words_of_degree(SKLYANIN, 9)
-    inputs = [Polynomial(SKLYANIN, QQ, {w: QQ.of_int(rng.randint(-5, 5))
-                                        for w in rng.sample(pool, 8)}) for _ in range(6)]
-    before = len(table)   # the inputs' own words are keyed by their sort
-    for f in inputs:
-        assert not gb._reduce(f).is_zero()
-    assert len(table) == before
-
-
 # -- dimensions against dense linear algebra, property-based ---------------------
 
 
