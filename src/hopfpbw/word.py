@@ -86,10 +86,10 @@ class Alphabet:
         # Right-padding with a maximal sentinel makes proper prefixes larger.
         return (*w, self.size)
 
-    def render_word(self, w: Word, sep: str = " ") -> str:
+    def render_word(self, w: Word) -> str:
         if not w:
             return "1"
-        return sep.join(self.names[i] for i in w)
+        return " ".join(self.names[i] for i in w)
 
 
 def compare_lex(u: Word, v: Word) -> int:

@@ -5,15 +5,23 @@ paths it checks: rotation-based Lyndon recognition, the Shirshov split by
 comparing every suffix, exhaustive factorization search, the standard
 bracketing and the standard coproduct from their definitions, the coalgebra
 laws expanded on plain dicts, dense Fraction Gaussian elimination, partition
-counting, necklace counts and the Dynkin projection.
+counting, necklace counts and the Dynkin projection.  The expression
+tokenizer here scans one character at a time and the renderers form each
+term's sign and body apart, as references for the library's single token
+pattern and single term loop.  ``run_demo`` runs a demo script.
 """
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from pathlib import Path
 
-from hopfpbw import Polynomial
+from hopfpbw import ExpressionError, Polynomial
 from hopfpbw.word import GREATER, compare_lex
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def stack_depth():
@@ -22,6 +30,13 @@ def stack_depth():
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+def run_demo(demo):
+    """Run a demo script from the checkout's root, with warnings as errors."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def all_words(n_letters, max_len):
@@ -451,3 +466,109 @@ def is_lie_by_dynkin(f: Polynomial) -> bool:
         if dynkin_map(part) != part.scale(f.field.of_int(m)):
             return False
     return True
+
+
+_REFERENCE_SYMBOLS = set("+-*/^#()")
+_REFERENCE_DIGITS = set("0123456789")
+
+
+def reference_tokenize(src):
+    """(kind, value, line, column) tokens, scanned one character at a time."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_col = col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], line, start_col))
+            col += j - i
+            i = j
+        elif ch in _REFERENCE_DIGITS:
+            j = i
+            while j < len(src) and src[j] in _REFERENCE_DIGITS:
+                j += 1
+            try:
+                value = int(src[i:j])
+            except ValueError:
+                raise ExpressionError(f"integer literal of {j - i} digits is too long",
+                                      line, start_col) from None
+            tokens.append(("int", value, line, start_col))
+            col += j - i
+            i = j
+        elif ch in _REFERENCE_SYMBOLS:
+            tokens.append(("symbol", ch, line, start_col))
+            col += 1
+            i += 1
+        else:
+            raise ExpressionError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(("end", None, line, col))
+    return tokens
+
+
+def _reference_word_mul(alphabet, w):
+    if not w:
+        return "1"
+    return "*".join(alphabet.names[x] if n == 1 else f"{alphabet.names[x]}^{n}"
+                    for x, n in ((x, len(list(run))) for x, run in groupby(w)))
+
+
+def _reference_split_sign(field, c):
+    if field.char == 0 and c < 0:
+        return "-", -c
+    return "+", c
+
+
+def _reference_join_terms(parts):
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def reference_render_polynomial(f):
+    """Canonical text of a polynomial, one (sign, body) pair per term."""
+    field = f.field
+    parts = []
+    for w, c in f.coeffs.items():
+        sign, mag = _reference_split_sign(field, c)
+        wstr = _reference_word_mul(f.alphabet, w)
+        if not w:
+            body = field.render(mag)
+        elif mag == field.one:
+            body = wstr
+        else:
+            body = f"{field.render(mag)}*{wstr}"
+        parts.append((sign, body))
+    return _reference_join_terms(parts)
+
+
+def reference_render_tensor(t):
+    """Canonical text of a tensor element, one (sign, body) pair per term."""
+    field = t.field
+    parts = []
+    for (a, b), c in t.coeffs.items():
+        sign, mag = _reference_split_sign(field, c)
+        left = _reference_word_mul(t.alphabet, a)
+        right = _reference_word_mul(t.alphabet, b)
+        if mag == field.one:
+            body = f"{left}#{right}"
+        else:
+            body = f"{field.render(mag)}*{left}#{right}"
+        parts.append((sign, body))
+    return _reference_join_terms(parts)

@@ -1,12 +1,11 @@
 """Every demo script runs to completion, with warnings as errors, and prints
 something."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_demo
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,8 +17,6 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

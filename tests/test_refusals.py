@@ -35,6 +35,11 @@ _FILE = {"field": "Q", "generators": [{"name": "x", "degree": 1}, {"name": "y", 
          "relations": ["y*x - x*y"], "degree_bound": 3}
 
 
+def _product(factors):
+    """``(x+y)*...*(x+y)``: its expansion doubles with each factor."""
+    return "*".join(["(x+y)"] * factors)
+
+
 # -- CLI -------------------------------------------------------------------------
 
 
@@ -54,9 +59,15 @@ _FILE = {"field": "Q", "generators": [{"name": "x", "degree": 1}, {"name": "y", 
      "{path}: degree_bound 100000000000000000000 is above the limit 1000"),
     (_FILE, ["--bound", "10000000"], "bound 10000000 is above the limit 1000"),
     ({**_FILE, "relations": ["x^2000"]}, ["--bound", "1001"], "bound 1001 is above the limit 1000"),
+    ({**_FILE, "relations": [_product(20)]}, [],
+     "{path}: relation 1: line 1, column 96: "
+     "product of 65536 and 2 terms is above the limit of 65536 terms"),
+    ({**_FILE, "comultiplication": {"x": f"{_product(8)} # {_product(9)}"}}, [],
+     "{path}: comultiplication of 'x': line 1, column 49: "
+     "product of 256 and 512 terms is above the limit of 65536 terms"),
 ], ids=["top-level-list", "no-degree", "duplicate-name", "unknown-image-generator",
         "name-with-space", "name-with-leading-digit", "file-bound", "file-bound-overridden",
-        "argv-bound", "argv-bound-before-parsing"])
+        "argv-bound", "argv-bound-before-parsing", "product-terms", "tensor-summand-terms"])
 def test_presentation_refusals(tmp_path, capsys, content, flags, message):
     path = tmp_path / "refused.json"
     path.write_text(json.dumps(content))

@@ -1,6 +1,7 @@
 """Reports stay byte-identical: a corpus of CLI runs on the fixtures, and of
 ``lyndon`` queries on a fixed list of words, each reduced to the SHA-256 of
-its exit code, JSON report and text report, is compared with the digests in
+its exit code, JSON report and text report, and the demo scripts, each reduced
+to the SHA-256 of its exit code and stdout, is compared with the digests in
 ``report_digests.json``.  Refusals stay byte-identical too: a second corpus of
 argv that exit 2, each reduced to the SHA-256 of its exit code and stderr (the
 checkout's root and the work directory replaced by fixed placeholders), is
@@ -19,8 +20,11 @@ from pathlib import Path
 
 from hopfpbw.cli import run
 
+from helpers import run_demo
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 REFUSAL_DIGESTS = Path(__file__).resolve().parent / "refusal_digests.json"
 
@@ -34,9 +38,14 @@ LYNDON_WORDS = ("x1", "x3", "x2 x1", "x1 x2", "x3 x1 x2", "x2 x1 x2 x1 x1",
                 "x3 x3 x2 x1 x1 x3 x2 x1", "x2" + " x1" * 29)
 NO_BOUND = "<no-bound file>"
 HIGH_BOUND = "<degree_bound 10000000 file>"
+PRODUCT = "<20-factor product file>"
 WRITTEN = {NO_BOUND: ("no_bound.json", {"generators": [{"name": "x", "degree": 1}]}),
            HIGH_BOUND: ("high_bound.json", {"generators": [{"name": "x", "degree": 1}],
-                                            "degree_bound": 10000000})}
+                                            "degree_bound": 10000000}),
+           PRODUCT: ("product.json", {"generators": [{"name": "x", "degree": 1},
+                                                     {"name": "y", "degree": 1}],
+                                      "relations": ["*".join(["(x+y)"] * 20)],
+                                      "degree_bound": 3})}
 REFUSALS = (["basis", "heisenberg.json", "--bound", "5"],
             ["basis", "heisenberg.json", "--bound", "5", "--degree", "99"],
             ["basis", "heisenberg.json", "--bound", "5", "--degree", "-1"],
@@ -50,7 +59,8 @@ REFUSALS = (["basis", "heisenberg.json", "--bound", "5"],
             ["hopf-check", "free2.json", "--field", "Fp:4", "--bound", "0"],
             ["frobnicate", "heisenberg.json"],
             ["basis", HIGH_BOUND, "--degree", "2"],
-            ["basis", "heisenberg.json", "--bound", "10000000", "--degree", "2"])
+            ["basis", "heisenberg.json", "--bound", "10000000", "--degree", "2"],
+            ["verify", PRODUCT])
 
 
 def _corpus():
@@ -73,9 +83,16 @@ def _digest(argv, json_path) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _demo_digest(demo) -> str:
+    proc = run_demo(demo)
+    return hashlib.sha256(json.dumps([proc.returncode, proc.stdout]).encode("utf-8")).hexdigest()
+
+
 def compute_digests(workdir) -> dict:
     json_path = Path(workdir) / "report.json"
-    return {key: _digest(argv, json_path) for key, argv in _corpus()}
+    digests = {key: _digest(argv, json_path) for key, argv in _corpus()}
+    digests.update((f"demo {demo.name}", _demo_digest(demo)) for demo in DEMOS)
+    return digests
 
 
 def compute_refusal_digests(workdir) -> dict:
